@@ -6,12 +6,12 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race fuzz chaos crash failover migrate tenants scrub bench bench-json bench-workers bench-qps bench-io bench-migration clean
+.PHONY: ci vet build test race fuzz chaos crash failover migrate tenants scrub bench-check bench bench-json bench-workers bench-qps bench-io bench-migration clean
 
 # ci keeps the fuzz leg to a 5s-per-target smoke; run `make fuzz` for
 # the full exploration pass.
 ci: FUZZTIME = 5s
-ci: vet build race chaos crash failover migrate tenants fuzz bench-workers
+ci: vet build bench-check race chaos crash failover migrate tenants fuzz bench-workers
 
 vet:
 	$(GO) vet ./...
@@ -85,6 +85,14 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/storage/compress
 	$(GO) test -run xxx -fuzz FuzzDecodeArbitrary -fuzztime $(FUZZTIME) ./internal/storage/compress
 	$(GO) test -run xxx -fuzz FuzzStoreDecode -fuzztime $(FUZZTIME) ./internal/storage/compress
+
+# The benchmark/ module (BENCHMARK.json's harness) is its own Go module,
+# so `./...` never reaches it — yet it compiles against query.ParallelBFS,
+# query.LevelStat, query.NewEngine and the graphdb capability interfaces.
+# Vet and test it here so an internal rename cannot break it silently.
+bench-check:
+	$(GO) -C benchmark vet .
+	$(GO) -C benchmark test .
 
 # Paper figure/table regenerations (slow; one full experiment per bench).
 bench:

@@ -18,6 +18,7 @@ import (
 	"mssg/internal/graphdb"
 	"mssg/internal/graphdb/hashdb"
 	"mssg/internal/ingest"
+	"mssg/internal/obs"
 	"mssg/internal/query"
 )
 
@@ -273,5 +274,50 @@ func TestChaosFailoverBothReplicasDead(t *testing.T) {
 			f.Close()
 			checkGoroutines(t, before)
 		})
+	}
+}
+
+// TestChaosFailoverKHopDegradedLevels: a k-hop whose first attempt loses
+// a back-end a few levels in must account for the work it threw away,
+// exactly as BFS does — the failed attempt's completed levels show up as
+// DegradedLevels and the node failure leaves a bfs.partial_coverage
+// trace event.
+func TestChaosFailoverKHopDegradedLevels(t *testing.T) {
+	const p, n, k = 4, 120, 80
+	rv := ingest.NewRendezvous(p, 2, 0)
+	f := failoverFabric(p, 1, cluster.Crash{Node: 1, AfterSends: 60})
+	defer f.Close()
+	started := time.Now().UnixNano()
+
+	type out struct {
+		stats query.FailoverStats
+		err   error
+	}
+	done := make(chan out, 1)
+	go func() {
+		_, stats, err := query.FailoverKHop(context.Background(), f, chainDBs(t, n, p, rv),
+			query.KHopConfig{Source: 0, K: k, OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas}, fastFailover())
+		done <- out{stats, err}
+	}()
+	var o out
+	select {
+	case o = <-done:
+	case <-time.After(90 * time.Second):
+		t.Fatal("failover k-hop wedged on the crashed back-end")
+	}
+	if o.err != nil {
+		t.Fatalf("failover k-hop: %v", o.err)
+	}
+	if o.stats.Retries == 0 || o.stats.DegradedLevels == 0 {
+		t.Errorf("failover stats %+v — want Retries > 0 and DegradedLevels > 0 after a mid-query kill", o.stats)
+	}
+	traced := false
+	for _, ev := range obs.DefaultTracer().Snapshot() {
+		if ev.Name == "bfs.partial_coverage" && ev.UnixNano >= started {
+			traced = true
+		}
+	}
+	if !traced {
+		t.Error("the k-hop node failure emitted no bfs.partial_coverage trace event")
 	}
 }

@@ -111,10 +111,22 @@ func (m *mailbox) get() (Message, error) {
 	if len(m.queue) == 0 {
 		return Message{}, ErrClosed
 	}
+	return m.popLocked(), nil
+}
+
+// popLocked dequeues the head. The vacated slot is zeroed and an emptied
+// queue dropped: a mailbox outlives its query (it stays in the endpoint's
+// map), and the backing array would otherwise keep every payload it ever
+// delivered reachable.
+func (m *mailbox) popLocked() Message {
 	msg := m.queue[0]
+	m.queue[0] = Message{}
 	m.queue = m.queue[1:]
+	if len(m.queue) == 0 {
+		m.queue = nil
+	}
 	m.cond.Broadcast()
-	return msg, nil
+	return msg
 }
 
 // getCtx waits for a message or for ctx to be cancelled. A queued
@@ -139,10 +151,7 @@ func (m *mailbox) getCtx(ctx context.Context) (Message, error) {
 		m.cond.Wait()
 	}
 	if len(m.queue) > 0 {
-		msg := m.queue[0]
-		m.queue = m.queue[1:]
-		m.cond.Broadcast()
-		return msg, nil
+		return m.popLocked(), nil
 	}
 	if m.closed {
 		return Message{}, ErrClosed
@@ -166,10 +175,7 @@ func (m *mailbox) getWithin(d time.Duration) (Message, bool, error) {
 		m.cond.Wait()
 	}
 	if len(m.queue) > 0 {
-		msg := m.queue[0]
-		m.queue = m.queue[1:]
-		m.cond.Broadcast()
-		return msg, true, nil
+		return m.popLocked(), true, nil
 	}
 	if m.closed {
 		return Message{}, false, ErrClosed
@@ -181,10 +187,7 @@ func (m *mailbox) tryGet() (Message, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.queue) > 0 {
-		msg := m.queue[0]
-		m.queue = m.queue[1:]
-		m.cond.Broadcast()
-		return msg, true, nil
+		return m.popLocked(), true, nil
 	}
 	if m.closed {
 		return Message{}, false, ErrClosed

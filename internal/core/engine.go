@@ -345,22 +345,7 @@ func (e *Engine) KHopCtx(ctx context.Context, cfg query.KHopConfig) (query.KHopR
 	if e.closed {
 		return query.KHopResult{}, fmt.Errorf("core: engine closed")
 	}
-	if p := e.queryPolicy(&cfg.ActiveNodes); p != nil {
-		switch {
-		case cfg.OwnerOf != nil:
-			// Caller-provided directory wins.
-		case isDirectoryPolicy(p):
-			cfg.OwnerOf = p.(ingest.DirectoryPolicy).OwnerOf
-		case !p.GloballyMapped():
-			cfg.Ownership = query.BroadcastFringe
-		}
-		if cfg.ReplicasOf == nil {
-			cfg.ReplicasOf = replicasOf(p)
-		}
-	}
-	if !cfg.AllowPartial {
-		cfg.AllowPartial = e.cfg.AllowPartial
-	}
+	e.route(&cfg.Ownership, &cfg.OwnerOf, &cfg.ReplicasOf, &cfg.ActiveNodes, &cfg.AllowPartial)
 	if cfg.ReplicasOf != nil {
 		res, _, err := query.FailoverKHop(ctx, e.fabric, e.dbs, cfg, e.cfg.Failover)
 		return res, err
@@ -368,29 +353,37 @@ func (e *Engine) KHopCtx(ctx context.Context, cfg query.KHopConfig) (query.KHopR
 	return query.ParallelKHop(ctx, e.fabric, e.dbs, cfg)
 }
 
-// routedBFS applies the ingestion policy's vertex→node mapping (and, for
-// replicating policies, its replica directory) to a BFS configuration.
-// On an elastic engine the directory, the replica lists, and the member
-// roster all come from one placement snapshot, so a query admitted
-// mid-migration is internally consistent and a commit flips routing for
-// the next query in one step.
-func (e *Engine) routedBFS(cfg query.BFSConfig) query.BFSConfig {
-	if p := e.queryPolicy(&cfg.ActiveNodes); p != nil {
+// route applies the placement policy to one query's routing fields (the
+// same five in BFSConfig and KHopConfig): the ingestion policy's
+// vertex→node mapping — a directory policy supplies OwnerOf, a policy
+// without a global mapping forces broadcast — and, for replicating
+// policies, its replica directory. On an elastic engine the directory,
+// the replica lists, and the member roster all come from one placement
+// snapshot, so a query admitted mid-migration is internally consistent
+// and a commit flips routing for the next query in one step.
+func (e *Engine) route(ownership *query.Ownership, ownerOf *func(graph.VertexID) cluster.NodeID,
+	replicas *func(graph.VertexID) []cluster.NodeID, active *[]cluster.NodeID, allowPartial *bool) {
+	if p := e.queryPolicy(active); p != nil {
 		switch {
-		case cfg.OwnerOf != nil:
+		case *ownerOf != nil:
 			// Caller-provided directory wins.
 		case isDirectoryPolicy(p):
-			cfg.OwnerOf = p.(ingest.DirectoryPolicy).OwnerOf
+			*ownerOf = p.(ingest.DirectoryPolicy).OwnerOf
 		case !p.GloballyMapped():
-			cfg.Ownership = query.BroadcastFringe
+			*ownership = query.BroadcastFringe
 		}
-		if cfg.ReplicasOf == nil {
-			cfg.ReplicasOf = replicasOf(p)
+		if *replicas == nil {
+			*replicas = replicasOf(p)
 		}
 	}
-	if !cfg.AllowPartial {
-		cfg.AllowPartial = e.cfg.AllowPartial
+	if !*allowPartial {
+		*allowPartial = e.cfg.AllowPartial
 	}
+}
+
+// routedBFS returns cfg with the placement policy applied.
+func (e *Engine) routedBFS(cfg query.BFSConfig) query.BFSConfig {
+	e.route(&cfg.Ownership, &cfg.OwnerOf, &cfg.ReplicasOf, &cfg.ActiveNodes, &cfg.AllowPartial)
 	return cfg
 }
 

@@ -2,16 +2,12 @@ package query
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"strconv"
-	"time"
 
 	"mssg/internal/cluster"
 	"mssg/internal/graph"
 	"mssg/internal/graphdb"
-	"mssg/internal/obs"
 )
 
 // ErrPartialCoverage marks a BFS that failed because a back-end node died
@@ -108,8 +104,13 @@ type BFSConfig struct {
 	AllowPartial bool
 }
 
-func (c *BFSConfig) threshold() int {
-	if c.Threshold <= 0 {
+// chunk is the exchange discipline as the traversal kernel reads it: 0
+// for Algorithm 1, Algorithm 2's chunk size otherwise.
+func (c *BFSConfig) chunk() int {
+	switch {
+	case !c.Pipelined:
+		return 0
+	case c.Threshold <= 0:
 		return 1024
 	}
 	return c.Threshold
@@ -120,14 +121,6 @@ func (c *BFSConfig) maxLevels() int32 {
 		return 64
 	}
 	return int32(c.MaxLevels)
-}
-
-// ownerOf resolves the vertex→node mapping in effect.
-func (c *BFSConfig) ownerOf(v graph.VertexID, p int) cluster.NodeID {
-	if c.OwnerOf != nil {
-		return c.OwnerOf(v)
-	}
-	return cluster.Owner(int64(v), p)
 }
 
 // BFSResult is the combined outcome of a parallel BFS.
@@ -186,582 +179,63 @@ type LevelStat struct {
 	Dropped      int64 `json:"dropped,omitempty"`
 }
 
-// fringe wire format: kind byte, then count little-endian uint64 ids.
-const (
-	fkChunk byte = 0 // fringe vertex ids
-	fkDone  byte = 1 // sender finished this level
-)
-
-func encodeChunk(ids []graph.VertexID) []byte {
-	b := make([]byte, 1+8*len(ids))
-	b[0] = fkChunk
-	for i, v := range ids {
-		binary.LittleEndian.PutUint64(b[1+8*i:], uint64(v))
-	}
-	return b
-}
-
-func decodeChunk(p []byte) ([]graph.VertexID, error) {
-	if len(p) < 1 || (len(p)-1)%8 != 0 {
-		return nil, fmt.Errorf("query: bad fringe frame of %d bytes", len(p))
-	}
-	ids := make([]graph.VertexID, (len(p)-1)/8)
-	for i := range ids {
-		ids[i] = graph.VertexID(binary.LittleEndian.Uint64(p[1+8*i:]))
-	}
-	return ids, nil
-}
-
 // ParallelBFS runs one BFS over the fabric: node i serves partition i
 // through dbs[i]. It blocks until every node finishes and returns the
-// combined result. The dbs slice length must equal the fabric size.
+// combined result. The dbs slice length must equal the fabric size. Any
+// number of ParallelBFS (or other query) calls may share one fabric
+// concurrently; cancelling ctx aborts the search with ctx.Err().
 //
-// The run leases its own channel namespace, so any number of ParallelBFS
-// (or other query) calls may share one fabric concurrently. Cancelling
-// ctx unblocks every node's pending receive and aborts the search with
-// ctx.Err().
+// BFS is a front-end of the traversal kernel (kernel.go). Its own parts
+// are the destination test, the MaxLevels overrun, and — for ReturnPath —
+// the parent pairs and the backward walk over them.
 func ParallelBFS(ctx context.Context, f cluster.Fabric, dbs []graphdb.Graph, cfg BFSConfig) (BFSResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	if cfg.Pipelined && cfg.ReturnPath {
+		return BFSResult{PathLength: -1}, fmt.Errorf("query: ReturnPath requires the level-synchronous BFS")
 	}
-	if len(dbs) != f.Nodes() {
-		return BFSResult{}, fmt.Errorf("query: %d databases for %d nodes", len(dbs), f.Nodes())
-	}
-	rst, err := newRoster(f.Nodes(), cfg.ActiveNodes)
-	if err != nil {
-		return BFSResult{}, err
-	}
-	qc, err := leaseChannels()
-	if err != nil {
-		return BFSResult{}, err
-	}
-	// An aborted query can leave undelivered chunks queued; drain them
-	// before the namespace goes back in the pool so they cannot leak
-	// into a future query that re-leases this block.
-	defer qc.ns.DrainAndRelease(f)
-	results := make([]BFSResult, f.Nodes())
-	err = cluster.RunOn(f, rst.runNodes(), func(ep cluster.Endpoint) error {
-		// Store even a failed node's partial result: FailoverBFS reads
-		// Levels off it to count how far a degraded attempt got.
-		r, err := bfsNode(ctx, ep, rst, qc, dbs[ep.ID()], cfg)
-		results[ep.ID()] = r
+	tr := traversal{BFSConfig: cfg, name: "bfs", hasDest: true, met: qm()}
+	// Nodes agree on Found/PathLength (collectively decided); the first
+	// roster node drives the path walk and alone holds the path.
+	var first BFSResult
+	res, err := runTraversal(ctx, f, dbs, &tr, func(k *kernel) error {
+		r, err := bfsNode(k)
+		if k.self == k.rst.first() {
+			first = r
+		}
 		return err
 	})
 	if err != nil {
-		partial := BFSResult{PathLength: -1}
-		for _, n := range rst.nodes {
-			if results[n].Levels > partial.Levels {
-				partial.Levels = results[n].Levels
-			}
-		}
-		return partial, err
+		return BFSResult{PathLength: -1, Levels: res.Levels}, err
 	}
-	// Node results agree on Found/PathLength/Levels (collectively
-	// decided); work counters are per-node sums.
-	combined := results[rst.first()]
-	combined.EdgesTraversed = 0
-	combined.VerticesVisited = 0
-	combined.FringeSent = 0
-	combined.ReplicaReads = 0
-	combined.FringeDropped = 0
-	combined.Path = nil
-	combined.LevelStats = nil
-	for _, n := range rst.nodes {
-		r := results[n]
-		combined.EdgesTraversed += r.EdgesTraversed
-		combined.VerticesVisited += r.VerticesVisited
-		combined.FringeSent += r.FringeSent
-		combined.ReplicaReads += r.ReplicaReads
-		combined.FringeDropped += r.FringeDropped
-		if r.Path != nil {
-			combined.Path = r.Path
-		}
-		for i, ls := range r.LevelStats {
-			if i >= len(combined.LevelStats) {
-				combined.LevelStats = append(combined.LevelStats, LevelStat{Level: ls.Level})
-			}
-			c := &combined.LevelStats[i]
-			c.Fringe += ls.Fringe
-			c.ReplicaReads += ls.ReplicaReads
-			c.Dropped += ls.Dropped
-			if ls.ExpandNs > c.ExpandNs {
-				c.ExpandNs = ls.ExpandNs
-			}
-			if ls.TotalNs > c.TotalNs {
-				c.TotalNs = ls.TotalNs
-			}
-		}
-	}
-	combined.Coverage = 1
-	if combined.FringeDropped > 0 {
-		combined.Coverage = float64(combined.VerticesVisited) /
-			float64(combined.VerticesVisited+combined.FringeDropped)
-		qm().foDropped.Add(combined.FringeDropped)
-		if cfg.AllowPartial {
-			qm().foPartialAllowed.Inc()
-			obs.DefaultTracer().Emit("bfs.partial_allowed", map[string]string{
-				"dropped": strconv.FormatInt(combined.FringeDropped, 10),
-			})
-		}
-	}
-	if combined.ReplicaReads > 0 {
-		qm().foReplicaReads.Add(combined.ReplicaReads)
-	}
-	return combined, nil
+	res.Found, res.PathLength, res.Path = first.Found, first.PathLength, first.Path
+	return res, nil
 }
 
-// bfsNode is one node's share of the search; it dispatches to the
-// level-synchronous or pipelined variant. A failure caused by a dead or
-// unresponsive peer is wrapped in ErrPartialCoverage: the search did not
-// deadlock, but it also did not see the whole graph.
-func bfsNode(ctx context.Context, ep cluster.Endpoint, rst *roster, qc queryChannels, db graphdb.Graph, cfg BFSConfig) (BFSResult, error) {
-	visited, release, err := newVisited(ep.ID(), cfg, cfg.expandWorkers(db))
-	if err != nil {
-		return BFSResult{}, err
-	}
-	defer release()
-	// On a partial roster the endpoint is filtered: down-declarations for
-	// already-excluded peers no longer abort receives.
-	ep = wrapActive(ep, rst)
-	var res BFSResult
-	if cfg.Pipelined {
-		if cfg.ReturnPath {
-			return BFSResult{}, fmt.Errorf("query: ReturnPath requires the level-synchronous BFS")
-		}
-		res, err = bfsPipelined(ctx, ep, rst, qc, db, visited, cfg)
-	} else {
-		res, err = bfsLevelSync(ctx, ep, rst, qc, db, visited, cfg)
-	}
-	if err != nil && (errors.Is(err, cluster.ErrNodeDown) || errors.Is(err, cluster.ErrTimeout)) {
-		qm().partial.Inc()
-		obs.DefaultTracer().Emit("bfs.partial_coverage", map[string]string{
-			"node":  strconv.Itoa(int(ep.ID())),
-			"level": strconv.Itoa(int(res.Levels)),
-		})
-		err = fmt.Errorf("%w: %w", ErrPartialCoverage, err)
-	}
-	return res, err
-}
-
-// newVisited builds the per-node visited structure and the release that
-// returns it when the query finishes. With parallel expansion in effect
-// it must tolerate concurrent markers: the default becomes the
-// striped-lock ShardedVisited, and caller-provided structures (e.g.
-// ExtVisited) are wrapped in a mutex unless they declare themselves
-// concurrency-safe via ConcurrentVisited. The default structures come
-// from (and go back to) the per-query scratch pools; caller-provided
-// ones are Closed instead.
-func newVisited(node cluster.NodeID, cfg BFSConfig, workers int) (Visited, func(), error) {
-	if cfg.NewVisited == nil {
-		var v Visited
-		if workers > 1 {
-			v = getShardedVisited()
-		} else {
-			v = getMemVisited()
-		}
-		return v, func() { releaseVisited(v) }, nil
-	}
-	v, err := cfg.NewVisited(node)
-	if err != nil {
-		return nil, nil, err
-	}
-	closer := v
-	if workers > 1 {
-		v = ensureConcurrentVisited(v)
-	}
-	return v, func() { closer.Close() }, nil
-}
-
-// bfsLevelSync is Algorithm 1: expand the whole fringe, exchange the next
-// fringe, synchronize, repeat. The termination conditions of the paper
-// ('found' message; exhausted graph) are realized with an all-reduce per
-// level, which decides found/empty at identical points on every node.
-func bfsLevelSync(ctx context.Context, ep cluster.Endpoint, rst *roster, qc queryChannels, db graphdb.Graph, visited Visited, cfg BFSConfig) (BFSResult, error) {
-	coll := cluster.NewCollective(ep, qc.collUp, qc.collDn).WithContext(ctx)
-	if rst.partial() {
-		coll = coll.WithParticipants(rst.nodes)
-	}
-	p := ep.Nodes()
-	self := ep.ID()
-	rt := &vertexRouter{
-		rst:      rst,
-		owner:    func(v graph.VertexID) cluster.NodeID { return cfg.ownerOf(v, p) },
-		replicas: cfg.ReplicasOf,
-	}
-
-	res := BFSResult{PathLength: -1}
+// bfsNode is one node's share of the search: step the kernel until the
+// destination is found, the graph is exhausted, or MaxLevels is passed.
+func bfsNode(k *kernel) (BFSResult, error) {
+	cfg, res := &k.tr.BFSConfig, BFSResult{PathLength: -1}
 	if cfg.Source == cfg.Dest {
-		res.Found = true
-		res.PathLength = 0
+		res.Found, res.PathLength = true, 0
 		if cfg.ReturnPath {
 			res.Path = []graph.VertexID{cfg.Source}
 		}
 		return res, nil
 	}
-
-	// Seed: the source's first live replica holds the level-0 fringe
-	// (the owner, on a full roster). Under broadcast ownership every
-	// roster node seeds (local adjacency of non-local vertices is empty,
-	// step 5 of Algorithm 1). A source with no live replica is dropped —
-	// deterministically on the roster's first node so the level-1 barrier
-	// sees exactly one drop on every node's account.
-	var fringe []graph.VertexID
-	var seedDropped int64
-	if cfg.Ownership == BroadcastFringe {
-		if _, err := visited.MarkIfNew(cfg.Source, 0); err != nil {
-			return res, err
-		}
-		fringe = append(fringe, cfg.Source)
-	} else if dest, replica, ok := rt.route(cfg.Source); !ok {
-		if self == rst.first() {
-			seedDropped = 1
-		}
-	} else if dest == self {
-		if _, err := visited.MarkIfNew(cfg.Source, 0); err != nil {
-			return res, err
-		}
-		fringe = append(fringe, cfg.Source)
-		if replica {
-			res.ReplicaReads++
-		}
-	}
-
-	// parents records each vertex's BFS predecessor for ReturnPath.
-	var parents map[graph.VertexID]graph.VertexID
-	if cfg.ReturnPath {
-		parents = make(map[graph.VertexID]graph.VertexID)
-	}
-
-	prefetcher, _ := db.(graphdb.Prefetcher)
-	asyncPf, _ := db.(graphdb.AsyncPrefetcher)
-	// pending holds the async prefetch jobs issued for the fringe about
-	// to be expanded (the pipelined refinement of the §4.2 prefetch):
-	// once a level's local discoveries are known, their chains start
-	// warming in the background while this goroutine runs the exchange
-	// and the level barrier. Jobs are joined at the top of the next
-	// level; the deferred cancel guarantees no prefetch goroutine
-	// outlives the query on any exit path.
-	var pending []graphdb.PrefetchJob
-	waitPending := func() {
-		// Prefetch errors are advisory: a failed job means the cache was
-		// not fully warmed, never that data is wrong — expansion surfaces
-		// any real I/O failure.
-		for _, j := range pending {
-			_ = j.Wait()
-		}
-		pending = pending[:0]
-	}
-	defer func() {
-		for _, j := range pending {
-			j.Cancel()
-		}
-		waitPending()
-	}()
-	filterOp, filterRef := cfg.Filter.metaOp()
-	nw := cfg.expandWorkers(db)
-	adj := getAdjList()
-	defer putAdjList(adj)
-	met := qm()
-	met.runs.Inc()
-	runSpan := obs.DefaultTracer().StartSpan("bfs.levelsync", map[string]string{
-		"node": strconv.Itoa(int(self)),
-	})
-	defer runSpan.End()
-	var levcnt int32
-	for levcnt < cfg.maxLevels() {
-		// On a one-node fabric no receive ever blocks, so this per-level
-		// check is the only place a lone node observes cancellation.
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		levcnt++
-		levelStart := time.Now()
-		met.fringe.Observe(int64(len(fringe)))
-		lvlSpan := runSpan.Child("bfs.level", map[string]string{
-			"level":  strconv.Itoa(int(levcnt)),
-			"fringe": strconv.Itoa(len(fringe)),
-		})
-		if cfg.Prefetch {
-			switch {
-			case len(pending) > 0:
-				// The previous level already started warming this fringe;
-				// join the pipeline before expanding.
-				waitPending()
-			case asyncPf != nil:
-				// First level (or a backend that appeared mid-query):
-				// nothing is in flight yet, so issue and join immediately —
-				// the fan-out across prefetch workers still beats the
-				// serial sweep.
-				pending = append(pending, asyncPf.PrefetchAsync(ctx, fringe))
-				waitPending()
-			case prefetcher != nil:
-				if _, err := prefetcher.PrefetchAdjacency(fringe); err != nil {
-					return res, err
-				}
-			}
-		}
-
-		foundLocal := int64(0)
-		outbound := make([][]graph.VertexID, p)
-		outboundPairs := make([][]graph.Edge, p)
-		var localNext []graph.VertexID
-		levelDropped := seedDropped
-		seedDropped = 0
-		var levelReplicaReads int64
-
-		// classify routes one newly marked vertex discovered from parent.
-		classify := func(u, parent graph.VertexID) {
-			if cfg.Ownership == KnownMapping {
-				dest, replica, ok := rt.route(u)
-				if !ok {
-					// No live replica serves u: its subtree is out of
-					// reach. The barrier below turns a non-zero drop count
-					// into ErrNoLiveReplica unless AllowPartial.
-					levelDropped++
-					return
-				}
-				res.VerticesVisited++
-				if parents != nil {
-					parents[u] = parent
-				}
-				if replica {
-					levelReplicaReads++
-				}
-				if dest == self {
-					localNext = append(localNext, u)
-					return
-				}
-				if cfg.ReturnPath {
-					outboundPairs[dest] = append(outboundPairs[dest], graph.Edge{Src: u, Dst: parent})
-				} else {
-					outbound[dest] = append(outbound[dest], u)
-				}
-				res.FringeSent++
-				return
-			}
-			res.VerticesVisited++
-			if parents != nil {
-				parents[u] = parent
-			}
-			localNext = append(localNext, u)
-			for _, q := range rst.nodes {
-				if q == self {
-					continue
-				}
-				if cfg.ReturnPath {
-					outboundPairs[q] = append(outboundPairs[q], graph.Edge{Src: u, Dst: parent})
-				} else {
-					outbound[q] = append(outbound[q], u)
-				}
-				res.FringeSent++
-			}
-		}
-
-		if cfg.ReturnPath {
-			// Per-vertex expansion: the batch API loses which fringe
-			// vertex produced each neighbour, and parents need it.
-			for _, v := range fringe {
-				adj.Reset()
-				if err := db.AdjacencyUsingMetadata(v, adj, filterRef, filterOp); err != nil {
-					return res, err
-				}
-				res.EdgesTraversed += int64(adj.Len())
-				for _, u := range adj.IDs() {
-					if u == cfg.Dest {
-						foundLocal = 1
-					}
-					isNew, err := visited.MarkIfNew(u, levcnt)
-					if err != nil {
-						return res, err
-					}
-					if isNew {
-						classify(u, v)
-					}
-				}
-			}
-		} else if nw > 1 {
-			// Parallel expansion: workers split the fringe and only the
-			// exchange below runs on this goroutine. Levels are sets, so
-			// the scheduling-dependent order inside localNext/outbound
-			// does not change any BFSResult field.
-			acc, err := expandParallel(ctx, ep, rt, qc.fringe, db, visited, &cfg, fringe, levcnt, nw, 0)
-			if err != nil {
-				return res, err
-			}
-			if acc.found {
-				foundLocal = 1
-			}
-			res.EdgesTraversed += acc.edgesTraversed
-			res.VerticesVisited += acc.verticesVisited
-			res.FringeSent += acc.fringeSent
-			levelDropped += acc.dropped
-			levelReplicaReads += acc.replicaReads
-			localNext = acc.localNext
-			outbound = acc.outbound
-		} else {
-			// Expand the local fringe in one batch (StreamDB requires
-			// it; everyone else benefits from it too).
-			adj.Reset()
-			if err := graphdb.AdjacencyBatch(db, fringe, adj, filterRef, filterOp); err != nil {
-				return res, err
-			}
-			res.EdgesTraversed += int64(adj.Len())
-			for _, u := range adj.IDs() {
-				if u == cfg.Dest {
-					foundLocal = 1
-				}
-				isNew, err := visited.MarkIfNew(u, levcnt)
-				if err != nil {
-					return res, err
-				}
-				if isNew {
-					classify(u, 0)
-				}
-			}
-		}
-
-		expandNs := time.Since(levelStart).Nanoseconds()
-		met.expand.Observe(expandNs)
-		met.levelHist(levcnt).Observe(expandNs)
-		exchangeStart := time.Now()
-
-		// Pipeline: the locally discovered share of the next fringe is
-		// final, so its chains start warming now — overlapped with the
-		// sends/receives and the level barrier below.
-		if cfg.Prefetch && asyncPf != nil && len(localNext) > 0 {
-			pending = append(pending, asyncPf.PrefetchAsync(ctx, localNext))
-		}
-
-		// Exchange: send each roster peer its share (possibly empty), then
-		// a done marker; collect peers' chunks until all markers arrive.
-		for _, q := range rst.nodes {
-			if q == self {
-				continue
-			}
-			if len(outbound[q]) > 0 {
-				if err := ep.Send(q, qc.fringe, encodeChunk(outbound[q])); err != nil {
-					return res, err
-				}
-			}
-			if len(outboundPairs[q]) > 0 {
-				if err := ep.Send(q, qc.fringe, encodeChunkPairs(outboundPairs[q])); err != nil {
-					return res, err
-				}
-			}
-			if err := ep.Send(q, qc.fringe, []byte{fkDone}); err != nil {
-				return res, err
-			}
-		}
-		next := localNext
-		absorb := func(u, parent graph.VertexID) error {
-			// Receive-side dedup (Algorithm 2 lines 24-27): a vertex
-			// already seen here is not re-expanded.
-			isNew, err := visited.MarkIfNew(u, levcnt)
-			if err != nil {
-				return err
-			}
-			if isNew {
-				res.VerticesVisited++
-				if parents != nil {
-					parents[u] = parent
-				}
-				next = append(next, u)
-			}
-			return nil
-		}
-		for done := 0; done < rst.size()-1; {
-			msg, err := ep.RecvCtx(ctx, qc.fringe)
-			if err != nil {
-				return res, err
-			}
-			switch msg.Payload[0] {
-			case fkDone:
-				done++
-			case fkChunk:
-				ids, err := decodeChunk(msg.Payload)
-				if err != nil {
-					return res, err
-				}
-				for _, u := range ids {
-					if err := absorb(u, 0); err != nil {
-						return res, err
-					}
-				}
-			case fkChunkP:
-				pairs, err := decodeChunkPairs(msg.Payload)
-				if err != nil {
-					return res, err
-				}
-				for _, pr := range pairs {
-					if err := absorb(pr.Src, pr.Dst); err != nil {
-						return res, err
-					}
-				}
-			default:
-				return res, fmt.Errorf("query: unknown fringe frame kind %d", msg.Payload[0])
-			}
-		}
-		met.exchange.ObserveSince(exchangeStart)
-		// Pipeline: vertices absorbed from peers (next beyond the local
-		// prefix) warm during the level barrier.
-		if cfg.Prefetch && asyncPf != nil && len(next) > len(localNext) {
-			pending = append(pending, asyncPf.PrefetchAsync(ctx, next[len(localNext):]))
-		}
-		lvlSpan.End()
-		res.ReplicaReads += levelReplicaReads
-		res.FringeDropped += levelDropped
-		res.LevelStats = append(res.LevelStats, LevelStat{
-			Level:        levcnt,
-			Fringe:       int64(len(fringe)),
-			ExpandNs:     expandNs,
-			TotalNs:      time.Since(levelStart).Nanoseconds(),
-			ReplicaReads: levelReplicaReads,
-			Dropped:      levelDropped,
-		})
-
-		// Level barrier + termination checks.
-		foundGlobal, err := coll.AllReduceMax(foundLocal)
+	for k.level < cfg.maxLevels() {
+		more, err := k.step()
 		if err != nil {
 			return res, err
 		}
-		res.Levels = levcnt
-		if foundGlobal > 0 {
-			// Found at level L is exact even with drops: a dropped vertex
-			// could only have yielded paths of length >= L+1.
-			res.Found = true
-			res.PathLength = levcnt
+		if k.found {
+			res.Found, res.PathLength = true, k.level
 			if cfg.ReturnPath {
-				path, err := walkParents(ctx, ep, rst, rt, qc, &cfg, parents, levcnt)
-				if err != nil {
-					return res, err
-				}
-				res.Path = path
+				res.Path, err = walkParents(k)
 			}
-			return res, nil
-		}
-		total, err := coll.AllReduceSum(int64(len(next)))
-		if err != nil {
 			return res, err
 		}
-		// Coordinated drop check: on a partial roster every node runs one
-		// extra reduction so they all learn — at the same point in the
-		// collective schedule — whether any peer hit a replica-less shard,
-		// and either all fail or all continue. Never checked mid-level: a
-		// unilateral return would leave peers waiting at the exchange.
-		if rst.partial() {
-			dropTotal, err := coll.AllReduceSum(levelDropped)
-			if err != nil {
-				return res, err
-			}
-			if dropTotal > 0 && !cfg.AllowPartial {
-				return res, fmt.Errorf("query: level %d dropped %d fringe vertices: %w",
-					levcnt, dropTotal, ErrNoLiveReplica)
-			}
-		}
-		if total == 0 {
+		if !more {
 			return res, nil
 		}
-		fringe = next
 	}
 	return res, fmt.Errorf("query: BFS exceeded %d levels", cfg.maxLevels())
 }

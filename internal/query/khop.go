@@ -2,7 +2,6 @@ package query
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 
@@ -42,14 +41,6 @@ type KHopConfig struct {
 	AllowPartial bool
 }
 
-// ownerOf resolves the vertex→node mapping in effect.
-func (c *KHopConfig) ownerOf(v graph.VertexID, p int) cluster.NodeID {
-	if c.OwnerOf != nil {
-		return c.OwnerOf(v)
-	}
-	return cluster.Owner(int64(v), p)
-}
-
 // KHopResult reports the neighbourhood profile.
 type KHopResult struct {
 	// PerLevel[i] is the number of vertices first reached at level i+1.
@@ -70,295 +61,66 @@ type KHopResult struct {
 
 // ParallelKHop runs the analysis across the fabric under its own leased
 // channel namespace; ctx cancellation aborts all nodes.
+//
+// k-hop is a front-end of the traversal kernel (kernel.go): Algorithm 1
+// with no destination, bounded at K levels. Its own part is the per-level
+// count. On failure the partial result keeps the levels every counted
+// node completed, which is what the failover loop reports as degraded.
 func ParallelKHop(ctx context.Context, f cluster.Fabric, dbs []graphdb.Graph, cfg KHopConfig) (KHopResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(dbs) != f.Nodes() {
-		return KHopResult{}, fmt.Errorf("query: %d databases for %d nodes", len(dbs), f.Nodes())
-	}
 	if cfg.K < 1 {
 		return KHopResult{}, fmt.Errorf("query: k-hop needs K >= 1, got %d", cfg.K)
 	}
-	rst, err := newRoster(f.Nodes(), cfg.ActiveNodes)
-	if err != nil {
-		return KHopResult{}, err
-	}
-	qc, err := leaseChannels()
-	if err != nil {
-		return KHopResult{}, err
-	}
-	defer qc.ns.DrainAndRelease(f)
-	results := make([]KHopResult, f.Nodes())
-	err = cluster.RunOn(f, rst.runNodes(), func(ep cluster.Endpoint) error {
-		r, err := khopNode(ctx, ep, rst, qc, dbs[ep.ID()], cfg)
-		if err != nil {
-			// As in bfsNode: a dead or unresponsive peer means the count
-			// covered only part of the graph.
-			if errors.Is(err, cluster.ErrNodeDown) || errors.Is(err, cluster.ErrTimeout) {
-				qm().partial.Inc()
-				err = fmt.Errorf("%w: %w", ErrPartialCoverage, err)
+	tr := traversal{name: "khop", BFSConfig: BFSConfig{
+		Source: cfg.Source, Ownership: cfg.Ownership, Prefetch: cfg.Prefetch, Workers: 1,
+		OwnerOf: cfg.OwnerOf, ReplicasOf: cfg.ReplicasOf, ActiveNodes: cfg.ActiveNodes, AllowPartial: cfg.AllowPartial,
+	}}
+	perNode := make([][]int64, f.Nodes())
+	tot, err := runTraversal(ctx, f, dbs, &tr, func(k *kernel) error {
+		for more := true; more && int(k.level) < cfg.K; {
+			var err error
+			if more, err = k.step(); err != nil {
+				return err
 			}
-			return err
+			perNode[k.self] = append(perNode[k.self], khopCount(k))
 		}
-		results[ep.ID()] = r
 		return nil
 	})
-	if err != nil {
-		return KHopResult{}, err
+	res := KHopResult{
+		PerLevel:       make([]int64, tot.Levels, cfg.K),
+		EdgesTraversed: tot.EdgesTraversed,
+		ReplicaReads:   tot.ReplicaReads,
+		Dropped:        tot.FringeDropped,
+		Coverage:       1,
 	}
-	combined := KHopResult{PerLevel: make([]int64, 0, cfg.K)}
-	for lvl := 0; ; lvl++ {
-		var sum int64
-		any := false
-		for _, r := range results {
-			if lvl < len(r.PerLevel) {
-				sum += r.PerLevel[lvl]
-				any = true
-			}
-		}
-		if !any {
-			break
-		}
-		combined.PerLevel = append(combined.PerLevel, sum)
-		combined.Total += sum
-	}
-	for _, r := range results {
-		combined.EdgesTraversed += r.EdgesTraversed
-		combined.ReplicaReads += r.ReplicaReads
-		combined.Dropped += r.Dropped
-	}
-	combined.Coverage = 1
-	if combined.Dropped > 0 {
-		combined.Coverage = float64(combined.Total) / float64(combined.Total+combined.Dropped)
-		qm().foDropped.Add(combined.Dropped)
-		if cfg.AllowPartial {
-			qm().foPartialAllowed.Inc()
+	for _, counts := range perNode {
+		for lvl, n := range counts {
+			res.PerLevel[lvl] += n
+			res.Total += n
 		}
 	}
-	if combined.ReplicaReads > 0 {
-		qm().foReplicaReads.Add(combined.ReplicaReads)
+	if res.Dropped > 0 {
+		res.Coverage = float64(res.Total) / float64(res.Total+res.Dropped)
 	}
-	return combined, nil
+	return res, err
 }
 
-// khopNode is one node's share: Algorithm 1 without a destination,
-// bounded at K levels. Per-level counts are each node's newly marked
-// vertices; under known-mapping ownership each vertex is counted exactly
-// once (by its owner receiving it, or locally).
-func khopNode(ctx context.Context, ep cluster.Endpoint, rst *roster, qc queryChannels, db graphdb.Graph, cfg KHopConfig) (KHopResult, error) {
-	ep = wrapActive(ep, rst)
-	coll := cluster.NewCollective(ep, qc.collUp, qc.collDn).WithContext(ctx)
-	if rst.partial() {
-		coll = coll.WithParticipants(rst.nodes)
+// khopCount is this node's share of the vertices first reached at the
+// level just stepped. Under known-mapping ownership each vertex lands in
+// exactly one node's next fringe (kept locally, or absorbed by the node
+// that serves it). Under broadcast ownership every node holds every
+// vertex, so only the counting authority's tally enters the total (on a
+// full roster the authority is the GID % p owner).
+func khopCount(k *kernel) int64 {
+	if k.tr.Ownership == KnownMapping {
+		return int64(len(k.fringe))
 	}
-	p := ep.Nodes()
-	self := ep.ID()
-	rt := &vertexRouter{
-		rst:      rst,
-		owner:    func(v graph.VertexID) cluster.NodeID { return cfg.ownerOf(v, p) },
-		replicas: cfg.ReplicasOf,
-	}
-	res := KHopResult{}
-
-	visited := getMemVisited()
-	defer releaseVisited(visited)
-
-	var fringe []graph.VertexID
-	var seedDropped int64
-	if cfg.Ownership == BroadcastFringe {
-		if _, err := visited.MarkIfNew(cfg.Source, 0); err != nil {
-			return res, err
-		}
-		fringe = append(fringe, cfg.Source)
-	} else if dest, replica, ok := rt.route(cfg.Source); !ok {
-		if self == rst.first() {
-			seedDropped = 1
-		}
-	} else if dest == self {
-		if _, err := visited.MarkIfNew(cfg.Source, 0); err != nil {
-			return res, err
-		}
-		fringe = append(fringe, cfg.Source)
-		if replica {
-			res.ReplicaReads++
+	var n int64
+	for _, u := range k.fringe {
+		if k.rst.authority(u) == k.self {
+			n++
 		}
 	}
-
-	prefetcher, _ := db.(graphdb.Prefetcher)
-	asyncPf, _ := db.(graphdb.AsyncPrefetcher)
-	// Pipelined prefetch, as in bfsLevelSync: jobs issued for the next
-	// fringe while this level's exchange and barrier run, joined before
-	// the fringe is expanded, cancelled on every exit path.
-	var pending []graphdb.PrefetchJob
-	waitPending := func() {
-		for _, j := range pending {
-			_ = j.Wait() // advisory — expansion surfaces real failures
-		}
-		pending = pending[:0]
-	}
-	defer func() {
-		for _, j := range pending {
-			j.Cancel()
-		}
-		waitPending()
-	}()
-
-	adj := getAdjList()
-	defer putAdjList(adj)
-	for levcnt := int32(1); levcnt <= int32(cfg.K); levcnt++ {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		if cfg.Prefetch {
-			switch {
-			case len(pending) > 0:
-				waitPending()
-			case asyncPf != nil:
-				pending = append(pending, asyncPf.PrefetchAsync(ctx, fringe))
-				waitPending()
-			case prefetcher != nil:
-				if _, err := prefetcher.PrefetchAdjacency(fringe); err != nil {
-					return res, err
-				}
-			}
-		}
-		adj.Reset()
-		if err := graphdb.AdjacencyBatch(db, fringe, adj, 0, graphdb.MetaIgnore); err != nil {
-			return res, err
-		}
-		res.EdgesTraversed += int64(adj.Len())
-
-		outbound := make([][]graph.VertexID, p)
-		var localNext []graph.VertexID
-		var newHere int64
-		levelDropped := seedDropped
-		seedDropped = 0
-		for _, u := range adj.IDs() {
-			isNew, err := visited.MarkIfNew(u, levcnt)
-			if err != nil {
-				return res, err
-			}
-			if !isNew {
-				continue
-			}
-			if cfg.Ownership == KnownMapping {
-				dest, replica, ok := rt.route(u)
-				if !ok {
-					levelDropped++
-					continue
-				}
-				if replica {
-					res.ReplicaReads++
-				}
-				if dest == self {
-					newHere++
-					localNext = append(localNext, u)
-				} else {
-					outbound[dest] = append(outbound[dest], u)
-				}
-			} else {
-				newHere++
-				localNext = append(localNext, u)
-				for _, q := range rst.nodes {
-					if q != self {
-						outbound[q] = append(outbound[q], u)
-					}
-				}
-			}
-		}
-		// The locally discovered share of the next fringe is final:
-		// start warming it while the exchange runs.
-		if cfg.Prefetch && asyncPf != nil && len(localNext) > 0 {
-			pending = append(pending, asyncPf.PrefetchAsync(ctx, localNext))
-		}
-		for _, q := range rst.nodes {
-			if q == self {
-				continue
-			}
-			if len(outbound[q]) > 0 {
-				if err := ep.Send(q, qc.fringe, encodeChunk(outbound[q])); err != nil {
-					return res, err
-				}
-			}
-			if err := ep.Send(q, qc.fringe, []byte{fkDone}); err != nil {
-				return res, err
-			}
-		}
-		next := localNext
-		for done := 0; done < rst.size()-1; {
-			msg, err := ep.RecvCtx(ctx, qc.fringe)
-			if err != nil {
-				return res, err
-			}
-			switch msg.Payload[0] {
-			case fkDone:
-				done++
-			case fkChunk:
-				ids, err := decodeChunk(msg.Payload)
-				if err != nil {
-					return res, err
-				}
-				for _, u := range ids {
-					isNew, err := visited.MarkIfNew(u, levcnt)
-					if err != nil {
-						return res, err
-					}
-					if isNew {
-						// Under known mapping, the receiving owner is
-						// the counting authority for u.
-						if cfg.Ownership == KnownMapping {
-							newHere++
-						}
-						next = append(next, u)
-					}
-				}
-			default:
-				return res, fmt.Errorf("query: unknown fringe frame kind %d", msg.Payload[0])
-			}
-		}
-
-		// Vertices absorbed from peers warm during the level barrier.
-		if cfg.Prefetch && asyncPf != nil && len(next) > len(localNext) {
-			pending = append(pending, asyncPf.PrefetchAsync(ctx, next[len(localNext):]))
-		}
-
-		// Under broadcast ownership every node marks every vertex; only
-		// the counting authority's tally enters the per-level total to
-		// avoid p-fold counting (on a full roster the authority is the
-		// GID % p owner).
-		if cfg.Ownership == BroadcastFringe {
-			newHere = 0
-			for _, u := range next {
-				if rst.authority(u) == self {
-					newHere++
-				}
-			}
-		}
-		res.PerLevel = append(res.PerLevel, newHere)
-		res.Dropped += levelDropped
-
-		total, err := coll.AllReduceSum(int64(len(next)))
-		if err != nil {
-			return res, err
-		}
-		// Coordinated drop check, as in bfsLevelSync.
-		if rst.partial() {
-			dropTotal, err := coll.AllReduceSum(levelDropped)
-			if err != nil {
-				return res, err
-			}
-			if dropTotal > 0 && !cfg.AllowPartial {
-				return res, fmt.Errorf("query: level %d dropped %d fringe vertices: %w",
-					levcnt, dropTotal, ErrNoLiveReplica)
-			}
-		}
-		if total == 0 {
-			break
-		}
-		fringe = next
-	}
-	return res, nil
+	return n
 }
 
 // khopAnalysis adapts ParallelKHop to the Query Service registry.

@@ -1,11 +1,9 @@
 package query
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 
-	"mssg/internal/cluster"
 	"mssg/internal/graph"
 )
 
@@ -40,34 +38,6 @@ func decodePathMsg(p []byte) (byte, graph.VertexID, error) {
 	return p[0], graph.VertexID(binary.LittleEndian.Uint64(p[1:])), nil
 }
 
-// fkChunkP frames carry (vertex, parent) pairs instead of bare vertices.
-const fkChunkP byte = 2
-
-func encodeChunkPairs(pairs []graph.Edge) []byte {
-	// Reuse Edge as a (vertex=Src, parent=Dst) pair carrier.
-	b := make([]byte, 1+16*len(pairs))
-	b[0] = fkChunkP
-	for i, pr := range pairs {
-		binary.LittleEndian.PutUint64(b[1+16*i:], uint64(pr.Src))
-		binary.LittleEndian.PutUint64(b[9+16*i:], uint64(pr.Dst))
-	}
-	return b
-}
-
-func decodeChunkPairs(p []byte) ([]graph.Edge, error) {
-	if len(p) < 1 || (len(p)-1)%16 != 0 {
-		return nil, fmt.Errorf("query: bad paired fringe frame of %d bytes", len(p))
-	}
-	pairs := make([]graph.Edge, (len(p)-1)/16)
-	for i := range pairs {
-		pairs[i] = graph.Edge{
-			Src: graph.VertexID(binary.LittleEndian.Uint64(p[1+16*i:])),
-			Dst: graph.VertexID(binary.LittleEndian.Uint64(p[9+16*i:])),
-		}
-	}
-	return pairs, nil
-}
-
 // walkParents reconstructs source←dest from the distributed parent maps.
 // The roster's first node drives (node 0 on a full fabric); every other
 // roster node services lookups until pkDone. Lookups are routed with the
@@ -75,13 +45,12 @@ func decodeChunkPairs(p []byte) ([]graph.Edge, error) {
 // from the node that actually absorbed the vertex — including replicas
 // standing in for a dead primary. Returns the path source..dest on the
 // driver, nil elsewhere.
-func walkParents(ctx context.Context, ep cluster.Endpoint, rst *roster, rt *vertexRouter, qc queryChannels, cfg *BFSConfig,
-	parents map[graph.VertexID]graph.VertexID, pathLen int32) ([]graph.VertexID, error) {
+func walkParents(k *kernel) ([]graph.VertexID, error) {
+	ctx, ep, rst, cfg, parents, pathLen := k.ctx, k.ep, k.rst, &k.tr.BFSConfig, k.parents, k.level
 	drv := rst.first()
-	self := ep.ID()
-	chPathWalk := qc.pathWalk
+	chPathWalk := k.qc.pathWalk
 
-	if self != drv {
+	if k.self != drv {
 		// Serve lookups until the driver finishes.
 		for {
 			msg, err := ep.RecvCtx(ctx, chPathWalk)
@@ -129,7 +98,7 @@ func walkParents(ctx context.Context, ep cluster.Endpoint, rst *roster, rt *vert
 		if int32(len(path)) > pathLen+1 {
 			return finish(nil, fmt.Errorf("query: parent chain longer than path length %d", pathLen))
 		}
-		owner, _, ok := rt.route(v)
+		owner, _, ok := k.rt.route(v)
 		if cfg.Ownership == BroadcastFringe {
 			// Every roster node absorbed every discovery; deal lookups out
 			// deterministically instead of insisting on the owner.

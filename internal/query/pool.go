@@ -34,18 +34,6 @@ var shardedVisitedPool = sync.Pool{
 	New: func() any { return NewShardedVisited() },
 }
 
-// getMemVisited returns an empty pooled MemVisited; hand it back with
-// releaseVisited.
-func getMemVisited() *MemVisited {
-	return memVisitedPool.Get().(*MemVisited)
-}
-
-// getShardedVisited returns an empty pooled ShardedVisited; hand it back
-// with releaseVisited.
-func getShardedVisited() *ShardedVisited {
-	return shardedVisitedPool.Get().(*ShardedVisited)
-}
-
 // releaseVisited resets v and returns it to its pool. Only the two
 // built-in in-memory structures are recycled.
 func releaseVisited(v Visited) {
