@@ -19,7 +19,7 @@ vet:
 build:
 	$(GO) build ./...
 
-test: chaos crash failover migrate tenants
+test: bench-check chaos crash failover migrate tenants
 	$(GO) test ./...
 
 race:
@@ -119,8 +119,8 @@ bench-qps:
 	$(GO) run ./cmd/mssg-bench -json auto -queries 200 -concurrency 8 qps tenants
 
 # Semi-external I/O engine ablation (DESIGN.md §13): prefetch ×
-# compression × shared SLRU cache on grDB under the harsh disk model;
-# the table plus registry counters land in BENCH_<timestamp>.json.
+# compression on grDB under the harsh disk model; the table plus
+# registry counters land in BENCH_<timestamp>.json.
 bench-io:
 	$(GO) run ./cmd/mssg-bench -json auto io
 

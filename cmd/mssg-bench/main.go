@@ -43,11 +43,9 @@ func main() {
 	jsonOut := flag.String("json", "",
 		"write a machine-readable BENCH report: a path, or \"auto\" for BENCH_<timestamp>.json")
 	prefetch := flag.Bool("prefetch", false,
-		"enable fringe prefetch in every search experiment's BFS (pipelined on grDB, sync warm-up elsewhere)")
+		"enable pipelined fringe prefetch in every search experiment's BFS (grDB; other backends ignore it)")
 	compress := flag.Bool("compress", false,
 		"open every out-of-core grDB with delta-varint block compression")
-	sharedCache := flag.Bool("shared-cache", false,
-		"replace each grDB engine's per-node caches with one shared scan-resistant SLRU cache")
 	check := flag.Bool("check", false,
 		"instead of an experiment, scrub every grDB node database under the <dir> argument: verify all block checksums, quarantine and repair corrupt blocks, and run the structural check")
 	flag.Usage = func() {
@@ -87,7 +85,7 @@ func main() {
 		Scale: *scale, Queries: *queries, Dir: workDir, Workers: *workers,
 		Concurrency: *concurrency,
 		FaultSeed:   *faultSeed, Deadline: *deadline,
-		Prefetch: *prefetch, Compress: *compress, SharedCache: *sharedCache,
+		Prefetch: *prefetch, Compress: *compress,
 		// A bench that reports latency percentiles and cache hit rates
 		// needs the gated per-op metrics on.
 		Metrics: *jsonOut != "" || *metricsAddr != "",

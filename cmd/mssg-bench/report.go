@@ -57,7 +57,6 @@ type benchConfig struct {
 	Concurrency int     `json:"concurrency"`
 	Prefetch    bool    `json:"prefetch,omitempty"`
 	Compress    bool    `json:"compress,omitempty"`
-	SharedCache bool    `json:"shared_cache,omitempty"`
 	FaultSeed   int64   `json:"fault_seed,omitempty"`
 	// Tenants lists the tenant names that submitted queries during the
 	// run (scraped from the query.tenant.* metric family).
@@ -260,7 +259,6 @@ func buildReport(p *experiments.Params, results []experimentResult, interrupted 
 			Concurrency: p.Concurrency,
 			Prefetch:    p.Prefetch,
 			Compress:    p.Compress,
-			SharedCache: p.SharedCache,
 			FaultSeed:   p.FaultSeed,
 			Tenants:     tenantNames,
 		},

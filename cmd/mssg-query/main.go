@@ -39,7 +39,6 @@ import (
 	"mssg/internal/ingest"
 	"mssg/internal/obs"
 	"mssg/internal/query"
-	"mssg/internal/storage/cache"
 )
 
 // Exit statuses: 1 = operational error, 2 = usage, 3 = partial coverage
@@ -82,8 +81,6 @@ func main() {
 		"when every replica of a required shard is dead, degrade to a best-effort answer with an explicit coverage fraction instead of failing (partial results exit with status 3)")
 	compress := flag.Bool("compress", false,
 		"the databases were ingested with delta-varint block compression (grDB; must match the ingest setting)")
-	sharedCacheMB := flag.Int64("shared-cache", 0,
-		"non-zero: share one scan-resistant SLRU block cache of this many MB across all back-end nodes (grDB, durability none)")
 	durability := flag.String("durability", "none",
 		"crash safety mode the database was ingested with: none or full (must match, checksum sidecars are only kept under full)")
 	verifyOnOpen := flag.Bool("verify-on-open", false,
@@ -117,9 +114,6 @@ func main() {
 			Durability: durLevel, VerifyOnOpen: *verifyOnOpen,
 			Compress: *compress,
 		},
-	}
-	if *sharedCacheMB > 0 {
-		cfg.DBOptions.SharedCache = cache.NewWithPolicy(*sharedCacheMB<<20, cache.PolicySLRU)
 	}
 	cfg.AllowPartial = *allowPartial
 	// A placement manifest (written by a rendezvous/replicated ingest)

@@ -25,7 +25,6 @@ import (
 	"mssg/internal/ingest"
 	"mssg/internal/obs"
 	"mssg/internal/query"
-	"mssg/internal/storage/cache"
 )
 
 // Table is one experiment's result in printable form.
@@ -109,15 +108,11 @@ type Params struct {
 	Metrics bool
 	// Prefetch turns on fringe prefetch in every search experiment's BFS
 	// (pipelined with expansion when the backend implements
-	// graphdb.AsyncPrefetcher, a synchronous warm-up sweep otherwise).
+	// graphdb.AsyncPrefetcher; other backends ignore it).
 	Prefetch bool
 	// Compress opens every out-of-core grDB with delta-varint block
 	// compression (DESIGN.md §13). Other backends ignore it.
 	Compress bool
-	// SharedCache replaces each grDB engine's per-node private caches
-	// with one scan-resistant SLRU cache shared by all its nodes, sized
-	// at the sum of the per-node budgets. Other backends ignore it.
-	SharedCache bool
 	// Verbose, if set, receives progress lines.
 	Verbose func(format string, args ...any)
 }
@@ -205,15 +200,6 @@ func buildEngine(p *Params, label, backend string, backends, frontends int, opts
 	}
 	if p.Compress {
 		cfg.DBOptions.Compress = true
-	}
-	if p.SharedCache {
-		budget := cfg.DBOptions.CacheBytes
-		if budget <= 0 {
-			budget = SimCacheBytes
-		}
-		// Engine copies DBOptions per node, so one cache set here is the
-		// cache every node's grDB attaches a space to.
-		cfg.DBOptions.SharedCache = cache.NewWithPolicy(budget*int64(backends), cache.PolicySLRU)
 	}
 	if p.FaultSeed != 0 {
 		cfg.Fault = &cluster.Plan{

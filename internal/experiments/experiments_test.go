@@ -85,10 +85,10 @@ func TestFig53Smoke(t *testing.T) {
 
 func TestIOEngineSmoke(t *testing.T) {
 	// Global lever flags must not leak into the ablation's own sweep:
-	// the baseline row of an -compress -prefetch -shared-cache run has
-	// to stay a baseline.
+	// the baseline row of an -compress -prefetch run has to stay a
+	// baseline.
 	p := tinyParams(t)
-	p.Prefetch, p.Compress, p.SharedCache = true, true, true
+	p.Prefetch, p.Compress = true, true
 	tab, err := IOEngine(p)
 	if err != nil {
 		t.Fatalf("IOEngine: %v", err)

@@ -8,13 +8,12 @@ import (
 	"mssg/internal/graphdb"
 	"mssg/internal/graphdb/grdb"
 	"mssg/internal/query"
-	"mssg/internal/storage/cache"
 )
 
 // IOEngine ablates the semi-external I/O engine (DESIGN.md §13) on the
-// out-of-core grDB: asynchronous fringe prefetch, delta-varint block
-// compression, and the shared scan-resistant SLRU cache, alone and
-// combined, against the plain configuration every other experiment uses.
+// out-of-core grDB: asynchronous fringe prefetch and delta-varint block
+// compression, alone and combined, against the plain configuration every
+// other experiment uses.
 //
 // The disk model is deliberately harsher than oocOptions(): a smaller
 // cache budget so the working set spills, and a per-byte transfer
@@ -27,7 +26,7 @@ const (
 	ioFrontEnds = 2
 	// ioCacheBytes is ~1/8 of oocOptions' budget: small enough that a
 	// PubMed-S' partition does not fit, so steady-state queries do real
-	// reads and admission policy matters.
+	// reads.
 	ioCacheBytes = 256 << 10
 	// ioTransferLatency charges per byte actually moved (DESIGN.md §2),
 	// ≈ 25 µs per 256-byte block when uncompressed.
@@ -39,7 +38,6 @@ type ioConfig struct {
 	name     string
 	prefetch bool
 	compress bool
-	shared   bool
 }
 
 func ioConfigs() []ioConfig {
@@ -47,8 +45,7 @@ func ioConfigs() []ioConfig {
 		{name: "baseline"},
 		{name: "prefetch", prefetch: true},
 		{name: "compress", compress: true},
-		{name: "shared-slru", shared: true},
-		{name: "all", prefetch: true, compress: true, shared: true},
+		{name: "all", prefetch: true, compress: true},
 	}
 }
 
@@ -94,17 +91,17 @@ func IOEngine(p *Params) (*Table, error) {
 	pairs := gen.RandomQueryPairs(edges, cfg.Vertices, p.queries(), 99)
 
 	// The ablation axes are the experiment's own sweep; a copy with the
-	// global -prefetch/-compress/-shared-cache flags cleared keeps
-	// buildEngine from contaminating the baseline rows.
+	// global -prefetch/-compress flags cleared keeps buildEngine from
+	// contaminating the baseline rows.
 	pIO := *p
-	pIO.Prefetch, pIO.Compress, pIO.SharedCache = false, false, false
+	pIO.Prefetch, pIO.Compress = false, false
 
 	t := &Table{
 		ID:     "io",
 		Title:  fmt.Sprintf("semi-external I/O engine ablation, PubMed-S' scale=%g, grDB b=%d", p.scale(), ioBackends),
 		Header: []string{"config", "ingest(s)", "avg query(ms)", "edges/s", "qry blk reads", "qry MB read"},
 		Notes: []string{
-			"all (prefetch+compress+shared-slru) should beat baseline on edges/s AND on query block reads",
+			"all (prefetch+compress) should beat baseline on edges/s",
 			"compress rows should read fewer bytes than their uncompressed counterparts",
 			fmt.Sprintf("disk model: %v/block access + %v/byte, cache %d KB/node (working set spills)",
 				SimLatency, ioTransferLatency, ioCacheBytes>>10),
@@ -116,9 +113,6 @@ func IOEngine(p *Params) (*Table, error) {
 		opts.CacheBytes = ioCacheBytes
 		opts.SimTransferLatency = ioTransferLatency
 		opts.Compress = c.compress
-		if c.shared {
-			opts.SharedCache = cache.NewWithPolicy(int64(ioBackends)*ioCacheBytes, cache.PolicySLRU)
-		}
 		e, err := buildEngine(&pIO, "io-"+c.name, "grdb", ioBackends, ioFrontEnds, opts)
 		if err != nil {
 			return nil, fmt.Errorf("io %s: %w", c.name, err)

@@ -176,9 +176,5 @@ func (d *DB) Close() error {
 // Stats implements graphdb.Graph.
 func (d *DB) Stats() graphdb.Stats { return d.stats.Snapshot() }
 
-// ConcurrentReaders implements graphdb.Graph: after Flush, retrievals
-// only index the immutable CSR arrays and the read-only metadata map.
-func (d *DB) ConcurrentReaders() bool { return true }
-
 // ResetMetadata clears all metadata between queries.
 func (d *DB) ResetMetadata() { d.meta.Reset() }

@@ -315,11 +315,6 @@ func (d *DB) Close() error {
 // Stats implements graphdb.Graph.
 func (d *DB) Stats() graphdb.Stats { return d.stats.Snapshot() }
 
-// ConcurrentReaders implements graphdb.Graph: the read path is a B+tree
-// seek plus chunk Gets, all stateless over mutex-guarded cache pins;
-// the head/chunk scratch buffers are only touched by StoreEdges.
-func (d *DB) ConcurrentReaders() bool { return true }
-
 // IOCounters implements graphdb.IOCounters.
 func (d *DB) IOCounters() (blockReads, blockWrites int64) {
 	c := d.store.Counters()

@@ -1,8 +1,9 @@
 package graphdb_test
 
-// Parallel-read section of the conformance suite: every backend declares
-// ConcurrentReaders and must survive 8 goroutines of mixed read traffic
-// under -race, answering exactly what the serial baseline answered.
+// Parallel-read section of the conformance suite: every backend's readers
+// are concurrency-safe, so each must survive 8 goroutines of mixed read
+// traffic under -race, answering exactly what the serial baseline
+// answered.
 
 import (
 	"reflect"
@@ -13,17 +14,6 @@ import (
 	"mssg/internal/graph"
 	"mssg/internal/graphdb"
 )
-
-func TestConcurrentReadersDeclared(t *testing.T) {
-	for _, name := range allBackends() {
-		t.Run(name, func(t *testing.T) {
-			g := openBackend(t, name)
-			if !g.ConcurrentReaders() {
-				t.Fatalf("%s: ConcurrentReaders() = false; all built-in backends guarantee concurrent readers", name)
-			}
-		})
-	}
-}
 
 // TestConcurrentReaderStress seeds a scale-free graph plus metadata,
 // records a serial baseline of every read the workers will issue, then

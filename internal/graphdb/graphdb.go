@@ -15,9 +15,9 @@
 //
 //   - Readers — Metadata, AdjacencyUsingMetadata, Stats, and the
 //     read-only optional extensions (AdjacencyBatch, PrefetchAdjacency,
-//     Degree, IOCounters, CacheStats). When ConcurrentReaders reports
-//     true, any number of goroutines may run readers simultaneously on
-//     the same instance. All six built-in backends report true.
+//     Degree, IOCounters, CacheStats). Readers are concurrency-safe on
+//     every backend: any number of goroutines may run them
+//     simultaneously on the same instance.
 //   - Mutators — StoreEdges, SetMetadata, Flush, Close, and any
 //     maintenance extension (ResetMetadata, Defragment). Mutators
 //     always require external serialization: no mutator may overlap
@@ -104,9 +104,8 @@ type Stats struct {
 
 // Graph is the GraphDB Service interface (Listing 3.1). MSSG gives each
 // back-end node its own instance; mutating methods must be serialized
-// by the caller, while read-only methods may run concurrently when
-// ConcurrentReaders reports true (see the package comment for the full
-// contract).
+// by the caller, while read-only methods may run concurrently (see the
+// package comment for the full contract).
 type Graph interface {
 	// StoreEdges adds a batch of directed adjacency records.
 	StoreEdges(edges []graph.Edge) error
@@ -131,15 +130,6 @@ type Graph interface {
 
 	// Stats reports logical operation counts.
 	Stats() Stats
-
-	// ConcurrentReaders reports whether this instance's read-only
-	// operations (Metadata, AdjacencyUsingMetadata, Stats, and the
-	// read-only optional extensions) are safe to call from multiple
-	// goroutines at once. Mutating operations always require external
-	// serialization and must not overlap readers even when this
-	// reports true. The parallel BFS consults this before fanning a
-	// level's fringe across worker goroutines.
-	ConcurrentReaders() bool
 }
 
 // Adjacency retrieves the unfiltered adjacency list of v (MetaIgnore).

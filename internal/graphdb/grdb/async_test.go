@@ -11,7 +11,7 @@ import (
 
 	"mssg/internal/graph"
 	"mssg/internal/graphdb"
-	"mssg/internal/storage/cache"
+	"mssg/internal/obs"
 )
 
 // smallLevels keeps chains multi-level with few edges.
@@ -119,70 +119,6 @@ func TestCompressedMarkerMismatch(t *testing.T) {
 	}
 }
 
-// TestSharedCacheTwoInstances: two DBs on one SLRU cache must stay
-// fully isolated (disjoint spaces) while sharing the byte budget.
-func TestSharedCacheTwoInstances(t *testing.T) {
-	shared := cache.NewWithPolicy(1<<20, cache.PolicySLRU)
-	edgesA, edgesB := seedEdges(40), seedEdges(25)
-	open := func(dir string) *DB {
-		d, err := Open(graphdb.Options{
-			Dir: dir, Levels: smallLevels(), MaxFileBytes: 4096,
-			SharedCache: shared,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	a, b := open(t.TempDir()), open(t.TempDir())
-	if err := a.StoreEdges(edgesA); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.StoreEdges(edgesB); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Same-id vertices have different adjacency in the two instances.
-	if got := adjacency(t, a, 3); len(got) == 0 {
-		t.Fatal("instance A lost vertex 3")
-	}
-	wantA, wantB := adjacency(t, a, 3), adjacency(t, b, 3)
-	if reflect.DeepEqual(wantA, wantB) {
-		t.Fatal("test graphs should differ at vertex 3")
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// B must still work after A's spaces were removed.
-	if got := adjacency(t, b, 3); !reflect.DeepEqual(got, wantB) {
-		t.Fatalf("instance B after A closed: %v, want %v", got, wantB)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if shared.Size() != 0 {
-		t.Fatalf("shared cache retains %d bytes after both instances closed", shared.Size())
-	}
-}
-
-// TestSharedCacheRejectsDurable: the WAL's no-steal contract is per
-// instance; combining a shared cache with DurabilityFull must fail.
-func TestSharedCacheRejectsDurable(t *testing.T) {
-	shared := cache.NewWithPolicy(1<<20, cache.PolicySLRU)
-	_, err := Open(graphdb.Options{
-		Dir: t.TempDir(), Levels: smallLevels(), MaxFileBytes: 4096,
-		SharedCache: shared, Durability: graphdb.DurabilityFull,
-	})
-	if err == nil {
-		t.Fatal("shared cache + DurabilityFull accepted")
-	}
-}
-
 // TestPrefetchAsyncWarmsCache: after Wait, expanding the fringe must be
 // all cache hits, and the job must warm the same blocks the synchronous
 // sweep touches.
@@ -253,6 +189,33 @@ func TestPrefetchAsyncCancel(t *testing.T) {
 	_ = job2.Wait()
 	if g := d.PrefetchGoroutines(); g != 0 {
 		t.Fatalf("%d prefetch goroutines alive after Close", g)
+	}
+}
+
+// TestPrefetchCancelNotCountedAsError: a job stopped by its context is
+// cancelled, not failed — Wait reports the context error, but
+// grdb.prefetch.errors stays 0.
+func TestPrefetchCancelNotCountedAsError(t *testing.T) {
+	reg := obs.NewRegistry()
+	d, err := Open(graphdb.Options{Dir: t.TempDir(), Levels: smallLevels(), MaxFileBytes: 4096, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.StoreEdges(seedEdges(50)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	job := d.PrefetchAsync(ctx, []graph.VertexID{1, 5, 9})
+	if err := job.Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait = %v, want context.Canceled", err)
+	}
+	if n := reg.Counter("grdb.prefetch.errors").Value(); n != 0 {
+		t.Fatalf("grdb.prefetch.errors = %d after a cancelled job, want 0", n)
 	}
 }
 

@@ -112,15 +112,13 @@ type levelStore interface {
 	Counters() blockio.Counters
 }
 
-// level is one storage level at runtime.
+// level is one storage level at runtime. Its block-cache space id is its
+// index in DB.levels.
 type level struct {
 	d        int   // sub-block neighbour capacity
 	subBytes int   // b * d
 	k        int64 // sub-blocks per block
 	store    levelStore
-	// space is this level's id in the block cache: the level index with a
-	// private cache, or an AddSpace-allocated id in a shared cache.
-	space uint32
 }
 
 // DB is a grDB instance.
@@ -176,11 +174,6 @@ type DB struct {
 	// GetCheckpoint returns). See graphdb.Checkpointer.
 	ckptStaged    []byte
 	ckptCommitted []byte
-
-	// sharedCache marks that cache belongs to the caller
-	// (Options.SharedCache): Flush/Close touch only this instance's
-	// spaces and never the co-tenants'.
-	sharedCache bool
 
 	// compressed marks that level stores encode blocks (Options.Compress).
 	compressed bool
@@ -287,32 +280,22 @@ func Open(opts graphdb.Options) (*DB, error) {
 	}
 
 	d := &DB{
-		dir:         opts.Dir,
-		meta:        graphdb.NewMetaMap(),
-		nextFree:    make([]int64, len(specs)),
-		maxVertex:   -1,
-		tailHint:    make(map[graph.VertexID]tailPos),
-		copyUp:      opts.CopyUpOnOverflow,
-		fsys:        fsys,
-		durable:     opts.Durability >= graphdb.DurabilityFull,
-		compressed:  opts.Compress,
-		sharedCache: opts.SharedCache != nil,
+		dir:        opts.Dir,
+		cache:      cache.New(cacheBytes),
+		meta:       graphdb.NewMetaMap(),
+		nextFree:   make([]int64, len(specs)),
+		maxVertex:  -1,
+		tailHint:   make(map[graph.VertexID]tailPos),
+		copyUp:     opts.CopyUpOnOverflow,
+		fsys:       fsys,
+		durable:    opts.Durability >= graphdb.DurabilityFull,
+		compressed: opts.Compress,
 	}
-	if d.sharedCache {
-		if d.durable {
-			return nil, fmt.Errorf("grdb: a shared cache cannot be combined with DurabilityFull (the WAL's no-steal contract is per instance)")
-		}
-		d.cache = opts.SharedCache
-	} else {
-		d.cache = cache.New(cacheBytes)
-		// A shared cache belongs to the caller, who labels its metrics;
-		// private caches are mirrored here.
-		d.cache.EnableMetrics(opts.Metrics, "grdb")
-	}
+	d.cache.EnableMetrics(opts.Metrics, "grdb")
 	if err := d.checkCompressedMarker(); err != nil {
 		return nil, err
 	}
-	d.pf.init(d, opts.PrefetchWorkers, opts.Metrics)
+	d.pf.init(d, opts.Metrics)
 	d.stats.EnableLatency(opts.Metrics, "grdb")
 	if reg := opts.Metrics; reg != nil {
 		d.mRecoveryRuns = reg.Counter("grdb.recovery.runs")
@@ -357,14 +340,7 @@ func Open(opts graphdb.Options) (*DB, error) {
 			}
 			store = cs
 		}
-		space := uint32(i)
-		if d.sharedCache {
-			if space, err = d.cache.AddSpace(store); err != nil {
-				store.Close()
-				d.closeStores()
-				return nil, err
-			}
-		} else if err := d.cache.AttachSpace(space, store); err != nil {
+		if err := d.cache.AttachSpace(uint32(i), store); err != nil {
 			store.Close()
 			d.closeStores()
 			return nil, err
@@ -374,7 +350,6 @@ func Open(opts graphdb.Options) (*DB, error) {
 			subBytes: spec.SubBlockCap * wordBytes,
 			k:        int64(spec.BlockBytes) / int64(spec.SubBlockCap*wordBytes),
 			store:    store,
-			space:    space,
 		})
 	}
 	if err := d.loadManifest(); err != nil {
@@ -427,11 +402,6 @@ func (d *DB) checkCompressedMarker() error {
 func (d *DB) closeStores() {
 	for _, l := range d.levels {
 		if l.store != nil {
-			if d.sharedCache {
-				// Best-effort: stop leaking this instance's spaces into the
-				// caller's cache on a failed Open.
-				d.cache.RemoveSpace(l.space)
-			}
 			l.store.Close()
 		}
 	}
@@ -445,7 +415,7 @@ func (d *DB) closeStores() {
 func (d *DB) subBlock(ℓ int, s int64) (*cache.Handle, []byte, error) {
 	l := d.levels[ℓ]
 	blockIdx := s / l.k
-	h, err := d.cache.Get(l.space, blockIdx)
+	h, err := d.cache.Get(uint32(ℓ), blockIdx)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -308,28 +308,13 @@ func (d *DB) Flush() error {
 	if d.durable {
 		return d.checkpoint()
 	}
-	if err := d.flushCache(); err != nil {
+	if err := d.cache.Flush(); err != nil {
 		return err
 	}
 	if err := d.saveManifest(); err != nil {
 		return err
 	}
 	d.ckptCommitted = d.ckptStaged
-	return nil
-}
-
-// flushCache writes back this instance's dirty blocks. On a shared
-// cache only this instance's spaces are flushed — co-tenants commit
-// their own writes.
-func (d *DB) flushCache() error {
-	if !d.sharedCache {
-		return d.cache.Flush()
-	}
-	for _, l := range d.levels {
-		if err := d.cache.FlushSpace(l.space); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -348,14 +333,6 @@ func (d *DB) Close() error {
 	d.closed = true
 	var first error
 	for _, l := range d.levels {
-		if d.sharedCache {
-			// Give the spaces back to the caller's cache (writes back any
-			// dirty blocks the flush raced with; there are none after a
-			// clean Flush, but the invariant costs nothing).
-			if err := d.cache.RemoveSpace(l.space); err != nil && first == nil {
-				first = err
-			}
-		}
 		if err := l.store.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -376,13 +353,6 @@ func (d *DB) Stats() graphdb.Stats { return d.stats.Snapshot() }
 // through an atomic mirror so query admission can pin it while ingest
 // proceeds on another goroutine.
 func (d *DB) Generation() uint64 { return d.genMirror.Load() }
-
-// ConcurrentReaders implements graphdb.Graph: walkAdjacency and the
-// metadata path read index words and chain blocks through the
-// mutex-guarded block cache without touching the write-side state
-// (tail hints, free lists), so any number of goroutines may expand
-// fringe vertices at once.
-func (d *DB) ConcurrentReaders() bool { return true }
 
 // IOCounters implements graphdb.IOCounters, summing all levels.
 func (d *DB) IOCounters() (blockReads, blockWrites int64) {

@@ -2,6 +2,7 @@ package grdb
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,25 +16,24 @@ import (
 // can be further optimized by introducing some pre-fetching of the
 // adjacency lists of the vertices in the frontier. Further optimization
 // ... might include sorting the pre-fetch disk accesses by file offsets
-// to reduce the seek overhead." PrefetchAdjacency implements exactly
-// that: it walks the fringe's chains breadth-first — one chain depth per
-// wave — warming the block cache with each wave's blocks in file-offset
+// to reduce the seek overhead." A prefetch job implements exactly that:
+// it walks the fringe's chains breadth-first — one chain depth per wave
+// — warming the block cache with each wave's blocks in file-offset
 // order, so random fringe access becomes near-sequential I/O.
 
-// blockRef identifies one block for the prefetch sweep.
+// blockRef identifies one block for the prefetch walk.
 type blockRef struct {
 	level int
 	block int64
 }
 
-// prefetchBudget bounds the bytes one prefetch sweep (sync or async) may
-// pull into the cache: a quarter of the cache's byte budget — the SLRU
-// probation segment's share — so a single fringe's sweep can never evict
-// the blocks the current expansion is using. An unbudgeted prefetch of a
-// fringe larger than the cache is strictly worse than no prefetch: every
-// block is read once by the sweep, evicted, and read again by the
-// expansion. With the cache disabled the budget is zero and prefetch is
-// a no-op (there is nothing to warm).
+// prefetchBudget bounds the bytes one prefetch job may pull into the
+// cache: a quarter of the cache's byte budget, so a single fringe's walk
+// can never evict the blocks the current expansion is using. An
+// unbudgeted prefetch of a fringe larger than the cache is strictly worse
+// than no prefetch: every block is read once by the walk, evicted, and
+// read again by the expansion. With the cache disabled the budget is
+// zero and prefetch is a no-op (there is nothing to warm).
 func (d *DB) prefetchBudget() int64 { return d.cache.Capacity() / 4 }
 
 // blockBytes is the logical block size of level ℓ.
@@ -42,89 +42,23 @@ func (d *DB) blockBytes(ℓ int) int64 {
 	return l.k * int64(l.subBytes)
 }
 
-// PrefetchAdjacency warms the cache for the adjacency chains of the
-// given vertices, reading blocks in file-offset order. It returns the
-// number of distinct blocks touched.
+// PrefetchAdjacency implements graphdb.Prefetcher: it runs one prefetch
+// job for the fringe to completion and returns the number of distinct
+// blocks it warmed.
 func (d *DB) PrefetchAdjacency(fringe []graph.VertexID) (int, error) {
-	if d.closed {
-		return 0, graphdb.ErrClosed
-	}
-	// Chain positions at the current depth; depth 0 is the level-0
-	// sub-block of every fringe vertex.
-	positions := make([]tailPos, 0, len(fringe))
-	for _, v := range fringe {
-		if uint64(v) <= maxStoreable {
-			positions = append(positions, tailPos{level: 0, sub: int64(v)})
-		}
-	}
-	seen := make(map[blockRef]bool)
-	budget := d.prefetchBudget()
-	var spent int64
-	exhausted := false
-	touched := 0
-	for len(positions) > 0 {
-		// Warm this depth's blocks in offset order, up to the budget.
-		var wave []blockRef
-		for _, pos := range positions {
-			ref := blockRef{level: pos.level, block: pos.sub / d.levels[pos.level].k}
-			if seen[ref] {
-				continue
-			}
-			if bb := d.blockBytes(ref.level); spent+bb > budget {
-				exhausted = true
-				break
-			} else {
-				spent += bb
-			}
-			seen[ref] = true
-			wave = append(wave, ref)
-		}
-		sort.Slice(wave, func(i, j int) bool {
-			if wave[i].level != wave[j].level {
-				return wave[i].level < wave[j].level
-			}
-			return wave[i].block < wave[j].block
-		})
-		for _, ref := range wave {
-			h, err := d.cache.Get(d.levels[ref.level].space, ref.block)
-			if err != nil {
-				return touched, err
-			}
-			if err := h.Release(); err != nil {
-				return touched, err
-			}
-			touched++
-		}
-		if exhausted {
-			// Deeper waves would only push past the budget further.
-			break
-		}
-		// Advance every chain one hop.
-		var next []tailPos
-		for _, pos := range positions {
-			np, ok, err := d.continuation(pos.level, pos.sub)
-			if err != nil {
-				return touched, err
-			}
-			if ok {
-				next = append(next, np)
-			}
-		}
-		positions = next
-	}
-	return touched, nil
+	j := d.PrefetchAsync(context.Background(), fringe).(*prefetchJob)
+	err := j.Wait()
+	return int(j.Blocks()), err
 }
 
-// defaultPrefetchWorkers bounds one async job's concurrent block reads
-// when Options.PrefetchWorkers is zero.
-const defaultPrefetchWorkers = 4
+// prefetchWorkers bounds one job's concurrent block reads.
+const prefetchWorkers = 4
 
 // prefetchEngine coordinates asynchronous prefetch jobs for one DB: a
 // registry of live jobs (so Close can cancel and join them all) plus the
 // shared goroutine accounting.
 type prefetchEngine struct {
-	d       *DB
-	workers int
+	d *DB
 
 	mu   sync.Mutex
 	jobs map[*prefetchJob]struct{}
@@ -138,12 +72,8 @@ type prefetchEngine struct {
 	mJobs, mBlocks, mErrors *obs.Counter
 }
 
-func (p *prefetchEngine) init(d *DB, workers int, reg *obs.Registry) {
+func (p *prefetchEngine) init(d *DB, reg *obs.Registry) {
 	p.d = d
-	if workers <= 0 {
-		workers = defaultPrefetchWorkers
-	}
-	p.workers = workers
 	p.jobs = make(map[*prefetchJob]struct{})
 	if reg != nil {
 		p.mJobs = reg.Counter("grdb.prefetch.jobs")
@@ -189,10 +119,10 @@ func (j *prefetchJob) Cancel() { j.cancel() }
 func (j *prefetchJob) Blocks() int64 { return j.blocks.Load() }
 
 // PrefetchAsync implements graphdb.AsyncPrefetcher: it starts warming
-// the cache for the fringe's adjacency chains in the background —
-// wave-by-wave as in PrefetchAdjacency, but with each wave's
-// offset-sorted reads fanned across worker goroutines — and returns
-// immediately. A read-only operation under the concurrency contract.
+// the cache for the fringe's adjacency chains in the background — wave
+// by wave, with each wave's offset-sorted reads fanned across worker
+// goroutines — and returns immediately. A read-only operation under the
+// concurrency contract.
 func (d *DB) PrefetchAsync(ctx context.Context, fringe []graph.VertexID) graphdb.PrefetchJob {
 	p := &d.pf
 	j := &prefetchJob{e: p, done: make(chan struct{})}
@@ -209,16 +139,19 @@ func (d *DB) PrefetchAsync(ctx context.Context, fringe []graph.VertexID) graphdb
 	p.mJobs.Inc()
 	p.wg.Add(1)
 	p.active.Add(1)
-	go j.run(fringe)
+	go func() { j.finish(j.walk(fringe)) }()
 	return j
 }
 
-// finish records err (first writer wins — run calls it exactly once),
-// deregisters the job, and releases Wait.
+// finish records err, deregisters the job, and releases Wait. A context
+// error is the job being cancelled (by its caller, by Close, or by a
+// query deadline), not a failure, so only other errors are counted.
 func (j *prefetchJob) finish(err error) {
 	if err != nil {
 		j.err = err
-		j.e.mErrors.Inc()
+		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			j.e.mErrors.Inc()
+		}
 	}
 	j.cancel()
 	j.e.mu.Lock()
@@ -229,9 +162,10 @@ func (j *prefetchJob) finish(err error) {
 	j.e.wg.Done()
 }
 
-// run is the job coordinator: it advances all chains one depth per
-// wave, delegating each wave's block reads to readWave.
-func (j *prefetchJob) run(fringe []graph.VertexID) {
+// walk advances all chains one depth per wave. Each wave's distinct
+// blocks, up to the budget, are read in (level, block) order by
+// readWave.
+func (j *prefetchJob) walk(fringe []graph.VertexID) error {
 	d := j.e.d
 	positions := make([]tailPos, 0, len(fringe))
 	for _, v := range fringe {
@@ -242,13 +176,12 @@ func (j *prefetchJob) run(fringe []graph.VertexID) {
 	seen := make(map[blockRef]bool)
 	budget := d.prefetchBudget()
 	var spent int64
-	exhausted := false
 	for len(positions) > 0 {
 		if err := j.ctx.Err(); err != nil {
-			j.finish(err)
-			return
+			return err
 		}
 		var wave []blockRef
+		exhausted := false
 		for _, pos := range positions {
 			ref := blockRef{level: pos.level, block: pos.sub / d.levels[pos.level].k}
 			if seen[ref] {
@@ -270,27 +203,23 @@ func (j *prefetchJob) run(fringe []graph.VertexID) {
 			return wave[i].block < wave[k].block
 		})
 		if err := j.readWave(wave); err != nil {
-			j.finish(err)
-			return
+			return err
 		}
 		if exhausted {
 			// The budget is spent; deeper waves would evict what the
 			// expansion is about to use.
-			j.finish(nil)
-			return
+			return nil
 		}
 		// Advance every chain one hop; these reads hit the blocks the
 		// wave just warmed.
 		var next []tailPos
 		for _, pos := range positions {
 			if err := j.ctx.Err(); err != nil {
-				j.finish(err)
-				return
+				return err
 			}
 			np, ok, err := d.continuation(pos.level, pos.sub)
 			if err != nil {
-				j.finish(err)
-				return
+				return err
 			}
 			if ok {
 				next = append(next, np)
@@ -298,11 +227,11 @@ func (j *prefetchJob) run(fringe []graph.VertexID) {
 		}
 		positions = next
 	}
-	j.finish(nil)
+	return nil
 }
 
 // readWave pins and releases every block of one wave, fanning the
-// offset-sorted list across the engine's worker budget. Workers claim
+// offset-sorted list across prefetchWorkers goroutines. Workers claim
 // the next sorted block atomically, so the issue order stays sorted
 // globally.
 func (j *prefetchJob) readWave(wave []blockRef) error {
@@ -310,10 +239,7 @@ func (j *prefetchJob) readWave(wave []blockRef) error {
 		return nil
 	}
 	d := j.e.d
-	workers := j.e.workers
-	if workers > len(wave) {
-		workers = len(wave)
-	}
+	workers := min(prefetchWorkers, len(wave))
 	var (
 		next     atomic.Int64
 		errMu    sync.Mutex
@@ -347,7 +273,7 @@ func (j *prefetchJob) readWave(wave []blockRef) error {
 					return
 				}
 				ref := wave[i]
-				h, err := d.cache.Get(d.levels[ref.level].space, ref.block)
+				h, err := d.cache.Get(uint32(ref.level), ref.block)
 				if err != nil {
 					fail(err)
 					return

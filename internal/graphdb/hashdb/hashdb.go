@@ -125,11 +125,6 @@ func (d *DB) Close() error {
 // Stats implements graphdb.Graph.
 func (d *DB) Stats() graphdb.Stats { return d.stats.Snapshot() }
 
-// ConcurrentReaders implements graphdb.Graph: retrievals share a
-// reader lock; mutators take it exclusively (see the DB comment for why
-// this instance locks internally).
-func (d *DB) ConcurrentReaders() bool { return true }
-
 // ResetMetadata clears all metadata between queries.
 func (d *DB) ResetMetadata() {
 	d.mu.Lock()

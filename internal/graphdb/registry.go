@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mssg/internal/obs"
-	"mssg/internal/storage/cache"
 	"mssg/internal/storage/vfs"
 )
 
@@ -96,19 +95,6 @@ type Options struct {
 	// decoded on read. The on-disk format changes; a database must be
 	// reopened with the same setting it was created with.
 	Compress bool
-
-	// SharedCache, when non-nil, makes the instance register its storage
-	// levels as spaces of this cache instead of creating a private one —
-	// the cross-query shared cache mode (DESIGN.md §13). The cache should
-	// use cache.PolicySLRU so one query's scan cannot evict another's
-	// working set. Incompatible with DurabilityFull (the WAL's no-steal
-	// contract cannot span instances).
-	SharedCache *cache.BlockCache
-
-	// PrefetchWorkers bounds the concurrent block reads of one async
-	// prefetch job (grDB's pipelined prefetch; see
-	// graphdb.AsyncPrefetcher). 0 selects the default.
-	PrefetchWorkers int
 
 	// Durability selects crash safety for out-of-core backends. The
 	// in-memory backends ignore it (they have no durable state at all).

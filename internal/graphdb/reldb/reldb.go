@@ -525,11 +525,6 @@ func (d *DB) closeStores() error {
 // Stats implements graphdb.Graph.
 func (d *DB) Stats() graphdb.Stats { return d.stats.Snapshot() }
 
-// ConcurrentReaders implements graphdb.Graph: SELECT execution is a
-// B-tree probe plus heap reads through the block cache, with no shared
-// mutable state beyond the atomic statement/stats counters.
-func (d *DB) ConcurrentReaders() bool { return true }
-
 // Statements returns the number of SQL statements parsed.
 func (d *DB) Statements() int64 { return d.statements.Load() }
 

@@ -266,10 +266,6 @@ func (d *DB) IOCounters() (blockReads, blockWrites int64) {
 	return d.scanReads.Load(), d.stats.EdgesStored()
 }
 
-// ConcurrentReaders implements graphdb.Graph: concurrent scans each read
-// through their own SectionReader over the flushed, immutable log prefix.
-func (d *DB) ConcurrentReaders() bool { return true }
-
 // ResetMetadata clears all metadata between queries.
 func (d *DB) ResetMetadata() { d.meta.Reset() }
 

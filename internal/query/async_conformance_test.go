@@ -14,7 +14,6 @@ import (
 	"mssg/internal/graph"
 	"mssg/internal/graphdb"
 	"mssg/internal/graphdb/grdb"
-	"mssg/internal/storage/cache"
 	"mssg/internal/storage/vfs"
 )
 
@@ -86,14 +85,12 @@ func TestAsyncPrefetchMatchesSerialBFS(t *testing.T) {
 		t.Fatal(err)
 	}
 	const p = 3
-	shared := cache.NewWithPolicy(1<<20, cache.PolicySLRU)
 	configs := []struct {
 		name string
 		mod  func(i int, o *graphdb.Options)
 	}{
 		{"plain", nil},
 		{"compressed", func(i int, o *graphdb.Options) { o.Compress = true }},
-		{"shared-cache", func(i int, o *graphdb.Options) { o.SharedCache = shared }},
 		{"durable", func(i int, o *graphdb.Options) { o.Durability = graphdb.DurabilityFull }},
 	}
 	for _, tc := range configs {

@@ -20,7 +20,7 @@ import (
 // its per-node databases, admits queries into per-tenant bounded queues,
 // dispatches them with deficit-round-robin weighted fair sharing, runs
 // at most MaxInFlight of them concurrently (all queries are pure readers
-// under the graphdb ConcurrentReaders contract, so they need no mutual
+// under the graphdb concurrency contract, so they need no mutual
 // exclusion against each other), applies per-query deadlines through
 // context cancellation — starting the clock when the query begins
 // executing, never while it waits in a queue — and drains in-flight work

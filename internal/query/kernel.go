@@ -44,16 +44,15 @@ const expandChunk = 16
 
 // expandWorkers decides how many goroutines may expand one level's
 // fringe against db. Parallel expansion is skipped (serial fallback)
-// when the backend does not guarantee concurrent readers, when it
-// answers whole fringes in one batch pass (StreamDB: a per-vertex split
-// would scan the log once per vertex), and for ReturnPath queries (the
-// parent map belongs to the node goroutine).
+// when the backend answers whole fringes in one batch pass (StreamDB: a
+// per-vertex split would scan the log once per vertex), and for
+// ReturnPath queries (the parent map belongs to the node goroutine).
 func (c *BFSConfig) expandWorkers(db graphdb.Graph) int {
 	n := c.Workers
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if n <= 1 || c.ReturnPath || !db.ConcurrentReaders() {
+	if n <= 1 || c.ReturnPath {
 		return 1
 	}
 	if _, batch := db.(graphdb.BatchGraph); batch {
@@ -102,8 +101,7 @@ type kernel struct {
 	workers int
 	chunk   int
 
-	prefetcher graphdb.Prefetcher      // set only when Prefetch is on
-	asyncPf    graphdb.AsyncPrefetcher // likewise
+	asyncPf graphdb.AsyncPrefetcher // set only when Prefetch is on
 	// pending holds the async prefetch jobs for the fringe about to be
 	// expanded: its chains warm in the background while the exchange and
 	// the barrier run. warm joins them; close cancels what is left, so no
@@ -146,7 +144,6 @@ func newKernel(ctx context.Context, ep cluster.Endpoint, rst *roster, qc queryCh
 	}
 	k.rt = &vertexRouter{rst: rst, owner: owner, replicas: tr.ReplicasOf}
 	if tr.Prefetch {
-		k.prefetcher, _ = db.(graphdb.Prefetcher)
 		k.asyncPf, _ = db.(graphdb.AsyncPrefetcher)
 	}
 	if tr.ReturnPath {
@@ -229,20 +226,12 @@ func (k *kernel) seed() error {
 
 // warm gets the fringe's chains into the storage cache before expansion
 // (the §4.2 pre-fetching optimization).
-func (k *kernel) warm() error {
-	if k.asyncPf != nil {
-		// On the first level nothing is in flight yet: issue and join at
-		// once — the fan-out across prefetch workers still beats the
-		// serial sweep.
-		if len(k.pending) == 0 {
-			k.prewarm(k.fringe)
-		}
-		k.joinPrefetch()
-	} else if k.prefetcher != nil {
-		_, err := k.prefetcher.PrefetchAdjacency(k.fringe)
-		return err
+func (k *kernel) warm() {
+	// On the first level nothing is in flight yet: issue and join at once.
+	if len(k.pending) == 0 {
+		k.prewarm(k.fringe)
 	}
-	return nil
+	k.joinPrefetch()
 }
 
 // prewarm starts warming part of the next fringe in the background. ids
@@ -638,9 +627,7 @@ func (k *kernel) step() (bool, error) {
 		"level":  strconv.Itoa(int(k.level)),
 		"fringe": strconv.FormatInt(stat.Fringe, 10),
 	})
-	if err := k.warm(); err != nil {
-		return false, err
-	}
+	k.warm()
 	if err := k.expand(); err != nil {
 		return false, err
 	}

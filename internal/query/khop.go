@@ -25,9 +25,8 @@ type KHopConfig struct {
 	// Ownership selects fringe routing, as in BFSConfig.
 	Ownership Ownership
 	// Prefetch warms the storage cache for each level's fringe before
-	// expansion, as in BFSConfig — pipelined when the backend implements
-	// graphdb.AsyncPrefetcher, a synchronous offset-sorted sweep when it
-	// only implements graphdb.Prefetcher.
+	// expansion, as in BFSConfig, pipelined with the exchange when the
+	// backend implements graphdb.AsyncPrefetcher.
 	Prefetch bool
 	// OwnerOf overrides the GID % p mapping under KnownMapping ownership,
 	// exactly as in BFSConfig. Nil selects the modulo mapping.
