@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race fuzz chaos crash failover migrate tenants scrub bench-check bench bench-json bench-workers bench-qps bench-io bench-migration clean
+.PHONY: ci vet build test race fuzz chaos crash failover migrate tenants scrub bench-check bench bench-workers bench-io bench-migration clean
 
 # ci keeps the fuzz leg to a 5s-per-target smoke; run `make fuzz` for
 # the full exploration pass.
@@ -78,6 +78,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzManifestDecode -fuzztime $(FUZZTIME) ./internal/graphdb/grdb
 	$(GO) test -run xxx -fuzz FuzzStateRecordDecode -fuzztime $(FUZZTIME) ./internal/graphdb/grdb
 	$(GO) test -run xxx -fuzz FuzzWALRecordDecode -fuzztime $(FUZZTIME) ./internal/graphdb/reldb
+	$(GO) test -run xxx -fuzz FuzzCheckpointRecordDecode -fuzztime $(FUZZTIME) ./internal/graphdb/reldb
+	$(GO) test -run xxx -fuzz FuzzManifestDecode -fuzztime $(FUZZTIME) ./internal/graphdb/reldb
 	$(GO) test -run xxx -fuzz FuzzPlacementDecode -fuzztime $(FUZZTIME) ./internal/ingest
 	$(GO) test -run xxx -fuzz FuzzFringeChunkDecode -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run xxx -fuzz FuzzFringeChunkRoundTrip -fuzztime $(FUZZTIME) ./internal/query
@@ -90,6 +92,9 @@ fuzz:
 # so `./...` never reaches it — yet it compiles against query.ParallelBFS,
 # query.LevelStat, query.NewEngine and the graphdb capability interfaces.
 # Vet and test it here so an internal rename cannot break it silently.
+# It is also the one performance benchmark: serving throughput, tenant
+# scheduling and the result cache are its serve-mixed workload
+# (benchmark/README.md).
 bench-check:
 	$(GO) -C benchmark vet .
 	$(GO) -C benchmark test .
@@ -98,37 +103,20 @@ bench-check:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkFig|BenchmarkTable' -benchtime=1x .
 
-# Machine-readable benchmark sweep: runs every experiment through
-# cmd/mssg-bench and writes BENCH_<timestamp>.json (tables plus ingest
-# throughput, per-level BFS latency percentiles, and cache hit rates
-# from the observability registry).
-bench-json:
-	$(GO) run ./cmd/mssg-bench -json auto all
-
 # Serial vs parallel fringe expansion on the shootout graph.
 bench-workers:
 	$(GO) test -run xxx -bench BenchmarkBFSWorkers -benchtime=1x .
 
-# Concurrent mixed-workload benchmark: a resident query engine serving
-# BFS + k-hop queries at several concurrency levels, then the
-# two-tenant fair-share workload (solo vs contended vs cached, with the
-# fairness ratio in the table notes); QPS, latency percentiles,
-# per-tenant breakdowns, and the result-cache summary land in
-# BENCH_<timestamp>.json (DESIGN.md §16).
-bench-qps:
-	$(GO) run ./cmd/mssg-bench -json auto -queries 200 -concurrency 8 qps tenants
-
 # Semi-external I/O engine ablation (DESIGN.md §13): prefetch ×
-# compression on grDB under the harsh disk model; the table plus
-# registry counters land in BENCH_<timestamp>.json.
+# compression on grDB under the harsh disk model.
 bench-io:
-	$(GO) run ./cmd/mssg-bench -json auto io
+	$(GO) run ./cmd/mssg-bench io
 
 # Query latency under a live shard migration (DESIGN.md §15): the same
 # BFS workload quiescent, during a join migration, and after its epoch
-# commit; the three-phase table lands in BENCH_<timestamp>.json.
+# commit.
 bench-migration:
-	$(GO) run ./cmd/mssg-bench -json auto migration
+	$(GO) run ./cmd/mssg-bench migration
 
 clean:
 	$(GO) clean ./...

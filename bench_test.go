@@ -61,8 +61,6 @@ func BenchmarkFig56_SearchPubMedL(b *testing.B)  { runExperiment(b, "fig5.6") }
 func BenchmarkFig57_EdgesPerSec(b *testing.B)    { runExperiment(b, "fig5.7") }
 func BenchmarkFig58_SynSearch(b *testing.B)      { runExperiment(b, "fig5.8") }
 func BenchmarkFig59_SynEdgesPerSec(b *testing.B) { runExperiment(b, "fig5.9") }
-func BenchmarkQPS_ConcurrentMixed(b *testing.B)  { runExperiment(b, "qps") }
-func BenchmarkTenants_FairShare(b *testing.B)    { runExperiment(b, "tenants") }
 func BenchmarkIO_SemiExternal(b *testing.B)      { runExperiment(b, "io") }
 func BenchmarkMigration_LiveJoin(b *testing.B)   { runExperiment(b, "migration") }
 
@@ -99,7 +97,7 @@ func TestAllExperimentIDsHaveBenches(t *testing.T) {
 	want := map[string]bool{
 		"table5.1": true, "fig5.1": true, "fig5.2": true, "fig5.3": true,
 		"fig5.4": true, "fig5.5": true, "fig5.6": true, "fig5.7": true,
-		"fig5.8": true, "fig5.9": true, "qps": true, "tenants": true,
+		"fig5.8": true, "fig5.9": true,
 		"io": true, "migration": true,
 	}
 	for _, e := range experiments.All() {

@@ -7,7 +7,8 @@
 //	mssg-bench [flags] <experiment>|all
 //
 // Experiments: table5.1 fig5.1 fig5.2 fig5.3 fig5.4 fig5.5 fig5.6 fig5.7
-// fig5.8 fig5.9.
+// fig5.8 fig5.9, plus the io and migration ablations. The pinned
+// performance benchmark is the separate benchmark/ module.
 package main
 
 import (
@@ -15,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"mssg/internal/experiments"
@@ -32,16 +32,12 @@ func main() {
 	verbose := flag.Bool("v", false, "print progress")
 	workers := flag.Int("workers", 0,
 		"fringe-expansion goroutines per back-end node (0 = GOMAXPROCS, 1 = serial)")
-	concurrency := flag.Int("concurrency", 8,
-		"top in-flight query count for the qps experiment (sweep doubles 1 -> this)")
 	faultSeed := flag.Int64("fault-seed", 0,
 		"non-zero: run over a fault-injecting fabric (1% drops) masked by reliable delivery, seeded with this value")
 	deadline := flag.Duration("deadline", 0,
 		"per-ingestion deadline (0 = none); overruns abort the experiment instead of hanging")
 	metricsAddr := flag.String("metrics-addr", "",
-		"serve live /metrics, /trace and /debug/pprof on this address during the run; implies -json auto")
-	jsonOut := flag.String("json", "",
-		"write a machine-readable BENCH report: a path, or \"auto\" for BENCH_<timestamp>.json")
+		"serve live /metrics, /trace and /debug/pprof on this address during the run (turns on the gated per-op metrics)")
 	prefetch := flag.Bool("prefetch", false,
 		"enable pipelined fringe prefetch in every search experiment's BFS (grDB; other backends ignore it)")
 	compress := flag.Bool("compress", false,
@@ -77,18 +73,13 @@ func main() {
 		workDir = td
 	}
 
-	if *metricsAddr != "" && *jsonOut == "" {
-		*jsonOut = "auto"
-	}
-
 	p := &experiments.Params{
 		Scale: *scale, Queries: *queries, Dir: workDir, Workers: *workers,
-		Concurrency: *concurrency,
-		FaultSeed:   *faultSeed, Deadline: *deadline,
+		FaultSeed: *faultSeed, Deadline: *deadline,
 		Prefetch: *prefetch, Compress: *compress,
-		// A bench that reports latency percentiles and cache hit rates
-		// needs the gated per-op metrics on.
-		Metrics: *jsonOut != "" || *metricsAddr != "",
+		// A live /metrics view is only worth serving with the gated
+		// per-op latency histograms and cache mirrors on.
+		Metrics: *metricsAddr != "",
 	}
 	if *verbose {
 		p.Verbose = func(format string, args ...any) {
@@ -121,51 +112,15 @@ func main() {
 		}
 	}
 
-	// Completed results accumulate under a lock so a SIGINT/SIGTERM can
-	// dump a partial report instead of losing the finished experiments.
-	var (
-		resMu   sync.Mutex
-		results []experimentResult
-	)
-	dump := func(interrupted bool) {
-		if *jsonOut == "" {
-			return
-		}
-		resMu.Lock()
-		snap := make([]experimentResult, len(results))
-		copy(snap, results)
-		resMu.Unlock()
-		path, err := writeReport(buildReport(p, snap, interrupted), *jsonOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mssg-bench: writing report:", err)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "mssg-bench: report written to %s\n", path)
-	}
-	obs.OnSignal(func(sig os.Signal) {
-		fmt.Fprintf(os.Stderr, "mssg-bench: %v: writing partial report\n", sig)
-		dump(true)
-		os.Exit(130)
-	})
-
 	for _, e := range toRun {
 		start := time.Now()
 		table, err := e.Run(p)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", e.ID, err))
 		}
-		elapsed := time.Since(start)
 		fmt.Println(table.String())
-		fmt.Printf("(%s completed in %s)\n\n", e.ID, elapsed.Round(time.Millisecond))
-		resMu.Lock()
-		results = append(results, experimentResult{
-			ID: table.ID, Title: table.Title, Header: table.Header,
-			Rows: table.Rows, Notes: table.Notes,
-			ElapsedMs: elapsed.Milliseconds(),
-		})
-		resMu.Unlock()
+		fmt.Printf("(%s completed in %s)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
-	dump(false)
 }
 
 // runCheck scrubs every grDB node database under root (the layout

@@ -450,14 +450,9 @@ func (e *Engine) NewQueryEngine(qcfg query.EngineConfig) (*query.Engine, error) 
 	return qe, nil
 }
 
-// SubmitBFS admits one BFS run (with policy-based fringe routing
+// SubmitBFSAs admits one BFS run (with policy-based fringe routing
 // applied) into a resident query engine built by NewQueryEngine, under
-// the default tenant.
-func (e *Engine) SubmitBFS(ctx context.Context, qe *query.Engine, cfg query.BFSConfig) (*query.Query, error) {
-	return qe.BFS(ctx, e.routedBFS(cfg))
-}
-
-// SubmitBFSAs is SubmitBFS under an explicit tenant.
+// tenant (query.DefaultTenantName for the default tenant).
 func (e *Engine) SubmitBFSAs(ctx context.Context, qe *query.Engine, tenant string, cfg query.BFSConfig) (*query.Query, error) {
 	return qe.BFSAs(ctx, tenant, e.routedBFS(cfg))
 }

@@ -89,10 +89,6 @@ type Params struct {
 	// search experiment (0 = GOMAXPROCS, 1 = the paper's serial
 	// expansion).
 	Workers int
-	// Concurrency is the top in-flight query count for the concurrent
-	// mixed-workload (qps) experiment; the sweep doubles 1 → Concurrency.
-	// <= 0 means 8.
-	Concurrency int
 	// FaultSeed, when non-zero, runs every experiment over a
 	// fault-injecting fabric (1% drops, 0.2% duplicates, 1% delays)
 	// masked by the reliable delivery layer — a robustness soak with the
@@ -134,13 +130,6 @@ func (p *Params) queries() int {
 		return 30
 	}
 	return p.Queries
-}
-
-func (p *Params) concurrency() int {
-	if p.Concurrency <= 0 {
-		return 8
-	}
-	return p.Concurrency
 }
 
 func (p *Params) logf(format string, args ...any) {
@@ -319,9 +308,7 @@ func All() []Experiment {
 		{"fig5.7", "search edges/s, PubMed-L', varying back-ends", Fig57},
 		{"fig5.8", "search time, Syn', grDB, visited in-mem vs external", Fig58},
 		{"fig5.9", "search edges/s, Syn', grDB", Fig59},
-		{"qps", "concurrent mixed workload QPS + latency percentiles, grDB", QPS},
-		{"tenants", "two-tenant fair-share serving: solo vs contended vs cached, grDB", Tenants},
-		{"io", "semi-external I/O engine ablation: prefetch × compression × shared SLRU, grDB", IOEngine},
+		{"io", "semi-external I/O engine ablation: prefetch × compression, grDB", IOEngine},
 		{"migration", "BFS latency during live shard migration vs quiescent, hashmap", Migration},
 	}
 }

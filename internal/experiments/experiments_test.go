@@ -14,7 +14,7 @@ func tinyParams(t *testing.T) *Params {
 
 func TestAllExperimentsRegistered(t *testing.T) {
 	ids := []string{"table5.1", "fig5.1", "fig5.2", "fig5.3", "fig5.4",
-		"fig5.5", "fig5.6", "fig5.7", "fig5.8", "fig5.9", "qps", "tenants",
+		"fig5.5", "fig5.6", "fig5.7", "fig5.8", "fig5.9",
 		"io", "migration"}
 	all := All()
 	if len(all) != len(ids) {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -14,12 +15,11 @@ import (
 )
 
 // Migration measures what a live topology change costs the queries that
-// run through it — the elasticity counterpart of the QPS experiment. A
-// 2-way replicated cluster answers the same BFS workload in three
-// phases: quiescent at the initial epoch, concurrently with a live
-// join migration (shards streaming onto the new back-end while routing
-// still obeys the old epoch), and quiescent again at the committed
-// epoch. The during-migration row prices the interference: migration
+// run through it. A 2-way replicated cluster answers the same BFS
+// workload in three phases: quiescent at the initial epoch, concurrently
+// with a live join migration (shards streaming onto the new back-end
+// while routing still obeys the old epoch), and quiescent again at the
+// committed epoch. The during-migration row prices the interference: migration
 // reads compete with query reads on the source back-ends, and every
 // window write races the search on the destination. Hashmap back-ends
 // keep the comparison about the protocol, not disk I/O.
@@ -150,4 +150,18 @@ func Migration(p *Params) (*Table, error) {
 	row("during migration", epochBefore, wallDuring, during)
 	row("quiescent (after)", epochAfter, wallAfter, after)
 	return t, nil
+}
+
+// percentile returns the pth latency percentile (nearest-rank).
+func percentile(lats []time.Duration, p int) time.Duration {
+	if len(lats) == 0 {
+		return 0
+	}
+	s := append([]time.Duration(nil), lats...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	idx := (len(s)*p + 99) / 100
+	if idx > 0 {
+		idx--
+	}
+	return s[idx]
 }

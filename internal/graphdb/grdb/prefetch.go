@@ -157,8 +157,10 @@ func (j *prefetchJob) finish(err error) {
 	j.e.mu.Lock()
 	delete(j.e.jobs, j)
 	j.e.mu.Unlock()
-	close(j.done)
+	// Drop the gauge before releasing Wait: PrefetchGoroutines promises
+	// zero once every job's Wait has returned.
 	j.e.active.Add(-1)
+	close(j.done)
 	j.e.wg.Done()
 }
 

@@ -165,8 +165,8 @@ type BFSResult struct {
 	Generation uint64 `json:"generation,omitempty"`
 }
 
-// LevelStat describes one BFS level. Fields marshal directly into
-// mssg-bench's BENCH_*.json per-level breakdown.
+// LevelStat describes one BFS level; BFSResult.LevelStats carries one per
+// level, and the benchmark/ module's per-level trace reads them.
 type LevelStat struct {
 	Level    int32 `json:"level"`
 	Fringe   int64 `json:"fringe"`

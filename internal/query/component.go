@@ -28,17 +28,25 @@ type ComponentResult struct {
 	EdgesTraversed int64
 }
 
-// componentMaxLevels bounds the sweep; small-world components exhaust in
+// ComponentMaxLevels bounds the sweep; small-world components exhaust in
 // a handful of levels, and 1024 levels covers even path-shaped graphs of
 // experiment scale.
-const componentMaxLevels = 1024
+const ComponentMaxLevels = 1024
 
 // ParallelComponent measures the connected component containing seed.
 func ParallelComponent(ctx context.Context, f cluster.Fabric, dbs []graphdb.Graph, seed graph.VertexID, ownership Ownership) (ComponentResult, error) {
-	kh, err := ParallelKHop(ctx, f, dbs, KHopConfig{Source: seed, K: componentMaxLevels, Ownership: ownership})
+	kh, err := ParallelKHop(ctx, f, dbs, KHopConfig{Source: seed, K: ComponentMaxLevels, Ownership: ownership})
 	if err != nil {
 		return ComponentResult{}, err
 	}
+	return ComponentOf(kh), nil
+}
+
+// ComponentOf converts a component sweep — a k-hop from the seed bounded
+// by ComponentMaxLevels — into the component's size and eccentricity.
+// Callers that route the sweep themselves (core.Engine.KHop applies the
+// placement policy) run it and convert here.
+func ComponentOf(kh KHopResult) ComponentResult {
 	res := ComponentResult{
 		Size:           kh.Total + 1, // + the seed itself
 		EdgesTraversed: kh.EdgesTraversed,
@@ -48,7 +56,7 @@ func ParallelComponent(ctx context.Context, f cluster.Fabric, dbs []graphdb.Grap
 			res.Eccentricity = int32(lvl) + 1
 		}
 	}
-	return res, nil
+	return res
 }
 
 // componentAnalysis adapts ParallelComponent to the registry.

@@ -175,10 +175,9 @@ func (k *kernel) close() {
 // returns it when the query finishes. With parallel expansion in effect
 // it must tolerate concurrent markers: the default becomes the
 // striped-lock ShardedVisited, and caller-provided structures (e.g.
-// ExtVisited) are wrapped in a mutex unless they declare themselves
-// concurrency-safe via ConcurrentVisited. The default structures come
-// from (and go back to) the per-query scratch pools; caller-provided
-// ones are Closed instead.
+// ExtVisited) are wrapped in a mutex unless they are a ShardedVisited.
+// The default structures come from (and go back to) the per-query
+// scratch pools; caller-provided ones are Closed instead.
 func newVisited(node cluster.NodeID, mk func(cluster.NodeID) (Visited, error), workers int) (Visited, func(), error) {
 	if mk == nil {
 		v := memVisitedPool.Get().(Visited)
@@ -642,7 +641,6 @@ func (k *kernel) step() (bool, error) {
 	if met != nil {
 		met.fringe.Observe(stat.Fringe)
 		met.expand.Observe(stat.ExpandNs)
-		met.levelHist(k.level).Observe(stat.ExpandNs)
 		met.exchange.ObserveSince(exchangeStart)
 	}
 	lvlSpan.End()

@@ -1,17 +1,10 @@
 package query
 
 import (
-	"fmt"
 	"sync"
 
 	"mssg/internal/obs"
 )
-
-// bfsLevelHistCap bounds the per-level histogram family
-// (query.bfs.level_NN.expand_ns). Small-world graphs finish in a handful
-// of levels; anything deeper folds into the last histogram so metric
-// cardinality stays fixed.
-const bfsLevelHistCap = 16
 
 // queryMetrics is the pre-resolved metric set of the query service,
 // built once per process (see internal/obs package doc: hot paths never
@@ -23,7 +16,6 @@ type queryMetrics struct {
 	expand     *obs.Histogram // query.bfs.level_expand_ns
 	exchange   *obs.Histogram // query.bfs.level_exchange_ns
 	contention *obs.Counter   // query.visited.contention (striped-lock waits)
-	levels     [bfsLevelHistCap]*obs.Histogram
 
 	// Failover accounting (replicated deployments).
 	foRetries        *obs.Counter // query.failover.retries
@@ -40,7 +32,7 @@ var (
 func qm() *queryMetrics {
 	qmOnce.Do(func() {
 		r := obs.Default()
-		m := &queryMetrics{
+		qmVal = &queryMetrics{
 			runs:       r.Counter("query.bfs.runs"),
 			partial:    r.Counter("query.bfs.partial_coverage"),
 			fringe:     r.Histogram("query.bfs.fringe_size"),
@@ -53,10 +45,6 @@ func qm() *queryMetrics {
 			foDropped:        r.Counter("query.failover.dropped"),
 			foPartialAllowed: r.Counter("query.failover.partial_allowed"),
 		}
-		for i := range m.levels {
-			m.levels[i] = r.Histogram(fmt.Sprintf("query.bfs.level_%02d.expand_ns", i+1))
-		}
-		qmVal = m
 	})
 	return qmVal
 }
@@ -111,8 +99,8 @@ func em() *engineMetrics {
 
 // tenantMetrics is one tenant's labelled metric family,
 // query.tenant.<name>.*: the per-tenant view of the engine-wide
-// counters plus the latency histograms the fairness bench and /metrics
-// report per tenant (p50/p95/p99 come from the Histogram snapshot).
+// counters plus the latency histograms /metrics reports per tenant
+// (p50/p95/p99 come from the Histogram snapshot).
 type tenantMetrics struct {
 	admitted  *obs.Counter   // query.tenant.<t>.admitted
 	rejected  *obs.Counter   // query.tenant.<t>.rejected
@@ -160,17 +148,4 @@ func tm(tenant string) *tenantMetrics {
 	}
 	tmVal[tenant] = m
 	return m
-}
-
-// levelHist returns the expansion-latency histogram for BFS level lev
-// (1-based), folding deep levels into the last slot.
-func (m *queryMetrics) levelHist(lev int32) *obs.Histogram {
-	i := int(lev) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= bfsLevelHistCap {
-		i = bfsLevelHistCap - 1
-	}
-	return m.levels[i]
 }

@@ -151,17 +151,6 @@ func (e *ExtVisited) Close() error {
 	return e.store.Close()
 }
 
-// ConcurrentVisited marks Visited implementations whose MarkIfNew and
-// Level are safe for concurrent use. The parallel fringe expansion
-// (BFSConfig.Workers > 1) requires one; structures that don't implement
-// the marker are transparently wrapped in a single mutex.
-type ConcurrentVisited interface {
-	Visited
-	// ConcurrentMarkers returns true when MarkIfNew/Level/Count may be
-	// called from multiple goroutines simultaneously.
-	ConcurrentMarkers() bool
-}
-
 // visitedShards is the stripe count of ShardedVisited. 64 stripes keep
 // contention negligible for any realistic worker count while staying
 // small enough that per-query allocation stays cheap.
@@ -237,9 +226,6 @@ func (s *ShardedVisited) Reset() {
 	s.count.Store(0)
 }
 
-// ConcurrentMarkers implements ConcurrentVisited.
-func (s *ShardedVisited) ConcurrentMarkers() bool { return true }
-
 // lockedVisited adapts a non-concurrent Visited (MemVisited, ExtVisited,
 // or a caller-provided structure) for parallel expansion with one mutex.
 // Coarse, but correct: ExtVisited's cache read-modify-write must not
@@ -273,12 +259,11 @@ func (l *lockedVisited) Close() error {
 	return l.inner.Close()
 }
 
-func (l *lockedVisited) ConcurrentMarkers() bool { return true }
-
-// ensureConcurrentVisited returns v itself when it already supports
-// concurrent marking, or a mutex-wrapped view of it otherwise.
+// ensureConcurrentVisited makes v safe for parallel expansion
+// (BFSConfig.Workers > 1): the striped ShardedVisited passes through, any
+// other structure is wrapped in a single mutex.
 func ensureConcurrentVisited(v Visited) Visited {
-	if cv, ok := v.(ConcurrentVisited); ok && cv.ConcurrentMarkers() {
+	if _, ok := v.(*ShardedVisited); ok {
 		return v
 	}
 	return &lockedVisited{inner: v}

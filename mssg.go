@@ -30,7 +30,6 @@
 package mssg
 
 import (
-	"context"
 	"io"
 
 	"mssg/internal/cluster"
@@ -129,17 +128,23 @@ const (
 	FilterLess = query.FilterLess
 )
 
-// KHop runs the k-hop neighbourhood analysis on an engine.
+// KHop runs the k-hop neighbourhood analysis on an engine, routed by the
+// engine's declustering policy like Engine.BFS.
 func KHop(e *Engine, cfg KHopConfig) (KHopResult, error) {
-	return query.ParallelKHop(context.Background(), e.Fabric(), e.Databases(), cfg)
+	return e.KHop(cfg)
 }
 
 // ComponentResult describes a connected component (see Component).
 type ComponentResult = query.ComponentResult
 
-// Component measures the connected component containing seed.
+// Component measures the connected component containing seed, with the
+// same policy-based routing as KHop.
 func Component(e *Engine, seed VertexID) (ComponentResult, error) {
-	return query.ParallelComponent(context.Background(), e.Fabric(), e.Databases(), seed, query.KnownMapping)
+	kh, err := e.KHop(KHopConfig{Source: seed, K: query.ComponentMaxLevels})
+	if err != nil {
+		return ComponentResult{}, err
+	}
+	return query.ComponentOf(kh), nil
 }
 
 // NewQueryEngine builds a resident concurrent query scheduler over an

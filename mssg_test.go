@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mssg"
+	"mssg/internal/ingest"
 )
 
 func TestPublicAPIQuickstartFlow(t *testing.T) {
@@ -135,6 +136,56 @@ func TestPublicKHopAndComponent(t *testing.T) {
 	}
 	if comp.Size != 6 {
 		t.Fatalf("component size = %d, want 6", comp.Size)
+	}
+}
+
+// TestPublicKHopAndComponentFollowPolicy: a policy with no global
+// vertex→node mapping scatters each vertex's edges over every node, so
+// KHop and Component must broadcast the fringe exactly as Engine.KHop
+// does; owner routing would see only the owner's share of each list.
+func TestPublicKHopAndComponentFollowPolicy(t *testing.T) {
+	eng, err := mssg.New(mssg.Config{
+		Backends: 4,
+		Backend:  "hashmap",
+		Ingest: mssg.IngestConfig{
+			AddReverse: true,
+			Policy:     func() mssg.IngestPolicy { return &ingest.EdgeRoundRobin{} },
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	// A path 0-1-...-40 plus a 40-leaf star on 0 (leaves 41..80).
+	var edges []mssg.Edge
+	for i := 0; i < 40; i++ {
+		edges = append(edges, mssg.Edge{Src: mssg.VertexID(i), Dst: mssg.VertexID(i + 1)})
+		edges = append(edges, mssg.Edge{Src: 0, Dst: mssg.VertexID(41 + i)})
+	}
+	if _, err := eng.IngestEdges(edges); err != nil {
+		t.Fatal(err)
+	}
+	cfg := mssg.KHopConfig{Source: 0, K: 3}
+	want, err := eng.KHop(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Total != 43 {
+		t.Fatalf("Engine.KHop total = %d, want 43", want.Total)
+	}
+	kh, err := mssg.KHop(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kh.Total != want.Total {
+		t.Fatalf("mssg.KHop total = %d, Engine.KHop = %d", kh.Total, want.Total)
+	}
+	comp, err := mssg.Component(eng, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if comp.Size != 81 || comp.Eccentricity != 40 {
+		t.Fatalf("component = %+v, want size 81, eccentricity 40", comp)
 	}
 }
 
