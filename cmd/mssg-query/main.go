@@ -218,6 +218,11 @@ func main() {
 			len(dead), activeNodes)
 	}
 
+	base := query.BFSConfig{
+		Routing:   query.Routing{Ownership: ownership, ActiveNodes: activeNodes},
+		Pipelined: *pipelined, Threshold: *threshold,
+		Prefetch: *prefetch, Workers: *workers,
+	}
 	if *serve {
 		tenants, err := parseTenantSpec(*tenantSpec, *tenantInflight, *tenantQueue)
 		if err != nil {
@@ -230,10 +235,7 @@ func main() {
 			Tenants:         tenants,
 			DefaultTenant:   query.TenantConfig{MaxInFlight: *tenantInflight, QueueDepth: *tenantQueue},
 			CacheBytes:      *cacheMB << 20,
-		}, query.BFSConfig{
-			Pipelined: *pipelined, Threshold: *threshold, Ownership: ownership,
-			Prefetch: *prefetch, Workers: *workers, ActiveNodes: activeNodes,
-		})
+		}, base)
 		return
 	}
 	var newVisited func(cluster.NodeID) (query.Visited, error)
@@ -252,14 +254,14 @@ func main() {
 		}
 		kh, err := eng.KHop(query.KHopConfig{
 			Source: graph.VertexID(*source), K: *khop,
-			Ownership: ownership, Prefetch: *prefetch,
-			ActiveNodes: activeNodes,
+			Routing: base.Routing, Prefetch: base.Prefetch,
 		})
 		if err != nil {
 			fatalQuery(err)
 		}
 		fmt.Printf("within %d hops of %d: %d vertices (per level: %v, %d edges traversed)\n",
 			*khop, *source, kh.Total, kh.PerLevel, kh.EdgesTraversed)
+		printFailover(kh.Failover)
 		if kh.Coverage < 1 {
 			fmt.Printf("partial: coverage %.2f (%d fringe vertices dropped; the count is a lower bound)\n",
 				kh.Coverage, kh.Dropped)
@@ -270,13 +272,10 @@ func main() {
 		if *source < 0 {
 			fatal(fmt.Errorf("-component needs -source"))
 		}
-		res, err := eng.RunAnalysis("component", map[string]string{
-			"source": fmt.Sprint(*source), "broadcast": fmt.Sprint(*broadcast),
-		})
+		comp, err := query.ParallelComponent(context.Background(), eng, graph.VertexID(*source), ownership)
 		if err != nil {
-			fatal(err)
+			fatalQuery(err)
 		}
-		comp := res.(query.ComponentResult)
 		fmt.Printf("component of %d: %d vertices, eccentricity %d (%d edges traversed)\n",
 			*source, comp.Size, comp.Eccentricity, comp.EdgesTraversed)
 		return
@@ -285,12 +284,9 @@ func main() {
 	sawPartial := false
 	runOne := func(s, d graph.VertexID) error {
 		start := time.Now()
-		res, err := eng.BFS(query.BFSConfig{
-			Source: s, Dest: d,
-			Pipelined: *pipelined, Threshold: *threshold, Ownership: ownership,
-			Prefetch: *prefetch, NewVisited: newVisited, ReturnPath: *showPath,
-			Workers: *workers, ActiveNodes: activeNodes,
-		})
+		cfg := base
+		cfg.Source, cfg.Dest, cfg.NewVisited, cfg.ReturnPath = s, d, newVisited, *showPath
+		res, err := eng.BFS(cfg)
 		if err != nil {
 			return err
 		}
@@ -306,10 +302,7 @@ func main() {
 			fmt.Printf("%d -> %d: not connected (%d levels, %d edges traversed, %s)\n",
 				s, d, res.Levels, res.EdgesTraversed, el.Round(time.Microsecond))
 		}
-		if fo := res.Failover; fo != nil && (fo.Retries > 0 || fo.ReplicaReads > 0) {
-			fmt.Printf("  failover: %d retries, %d replica reads, suspected %v\n",
-				fo.Retries, fo.ReplicaReads, fo.Suspected)
-		}
+		printFailover(res.Failover)
 		if res.Coverage < 1 {
 			fmt.Printf("  partial: coverage %.2f (%d fringe vertices dropped; treat the answer as a lower bound)\n",
 				res.Coverage, res.FringeDropped)
@@ -344,6 +337,14 @@ func main() {
 	}
 	if sawPartial {
 		os.Exit(exitPartial)
+	}
+}
+
+// printFailover reports a query's failover accounting when it had any.
+func printFailover(fo *query.FailoverStats) {
+	if fo != nil && (fo.Retries > 0 || fo.ReplicaReads > 0) {
+		fmt.Printf("  failover: %d retries, %d replica reads, suspected %v\n",
+			fo.Retries, fo.ReplicaReads, fo.Suspected)
 	}
 }
 
@@ -399,7 +400,7 @@ func runServe(eng *core.Engine, holder *ingest.PlacementHolder, ecfg query.Engin
 
 	var wg sync.WaitGroup
 	submit := func(line string) {
-		q, err := parseAndSubmit(eng, qe, base, line)
+		q, err := parseAndSubmit(qe, base, line)
 		if err != nil {
 			out.Lock()
 			fmt.Printf("? %q: %v\n", line, err)
@@ -500,10 +501,10 @@ func parseTenantSpec(spec string, inflight, queue int) (map[string]query.TenantC
 // parseAndSubmit turns one stdin line into a submitted query. An
 // optional leading '@tenant' token selects the submitting tenant
 // ("@alice bfs 0 42"); unprefixed lines run as the default tenant.
-// Shortcut forms route BFS through the engine's ownership knowledge;
-// everything else goes through the analysis registry as key=value
-// params.
-func parseAndSubmit(eng *core.Engine, qe *query.Engine, base query.BFSConfig, line string) (*query.Query, error) {
+// The bfs shortcut carries the command line's BFS knobs; everything else
+// goes through the analysis registry as key=value params. Every form runs
+// with the core engine's routing and failover.
+func parseAndSubmit(qe *query.Engine, base query.BFSConfig, line string) (*query.Query, error) {
 	fields := strings.Fields(line)
 	tenant := query.DefaultTenantName
 	if strings.HasPrefix(fields[0], "@") {
@@ -525,7 +526,7 @@ func parseAndSubmit(eng *core.Engine, qe *query.Engine, base query.BFSConfig, li
 		}
 		cfg := base
 		cfg.Source, cfg.Dest = graph.VertexID(s), graph.VertexID(d)
-		return eng.SubmitBFSAs(context.Background(), qe, tenant, cfg)
+		return qe.BFSAs(context.Background(), tenant, cfg)
 	case "khop":
 		if len(args) != 2 {
 			return nil, fmt.Errorf("usage: khop <source> <k>")

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mssg/internal/cluster"
+	"mssg/internal/core"
 	"mssg/internal/graph"
 	"mssg/internal/graphdb"
 	"mssg/internal/graphdb/hashdb"
@@ -105,7 +106,7 @@ func TestChaosFailoverQueryKillBFS(t *testing.T) {
 				res, err := query.FailoverBFS(context.Background(), f, chainDBs(t, n, p, rv),
 					query.BFSConfig{
 						Source: 0, Dest: n, MaxLevels: n + 10,
-						OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas,
+						Routing: query.Routing{OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas},
 					}, fastFailover())
 				done <- out{res, err}
 			}()
@@ -162,12 +163,12 @@ func TestChaosFailoverQueryKillKHop(t *testing.T) {
 			}
 			done := make(chan out, 1)
 			go func() {
-				res, stats, err := query.FailoverKHop(context.Background(), f, chainDBs(t, n, p, rv),
+				res, err := query.FailoverKHop(context.Background(), f, chainDBs(t, n, p, rv),
 					query.KHopConfig{
 						Source: 0, K: k,
-						OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas,
+						Routing: query.Routing{OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas},
 					}, fastFailover())
-				done <- out{res, stats, err}
+				done <- out{res, *res.Failover, err}
 			}()
 			var o out
 			select {
@@ -246,8 +247,7 @@ func TestChaosFailoverBothReplicasDead(t *testing.T) {
 				res, err := query.FailoverBFS(context.Background(), f, chainDBs(t, n, p, rv),
 					query.BFSConfig{
 						Source: 0, Dest: n, MaxLevels: n + 10,
-						OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas,
-						AllowPartial: allowPartial,
+						Routing: query.Routing{OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas, AllowPartial: allowPartial},
 					}, fastFailover())
 				done <- out{res, err}
 			}()
@@ -295,9 +295,9 @@ func TestChaosFailoverKHopDegradedLevels(t *testing.T) {
 	}
 	done := make(chan out, 1)
 	go func() {
-		_, stats, err := query.FailoverKHop(context.Background(), f, chainDBs(t, n, p, rv),
-			query.KHopConfig{Source: 0, K: k, OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas}, fastFailover())
-		done <- out{stats, err}
+		res, err := query.FailoverKHop(context.Background(), f, chainDBs(t, n, p, rv),
+			query.KHopConfig{Source: 0, K: k, Routing: query.Routing{OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas}}, fastFailover())
+		done <- out{*res.Failover, err}
 	}()
 	var o out
 	select {
@@ -319,5 +319,76 @@ func TestChaosFailoverKHopDegradedLevels(t *testing.T) {
 	}
 	if !traced {
 		t.Error("the k-hop node failure emitted no bfs.partial_coverage trace event")
+	}
+}
+
+// TestChaosFailoverServedBFS: a BFS served by the resident engine fails
+// over exactly like a one-shot query. Node 1 of a 2-way replicated
+// core.Engine is killed mid-search, and the BFS submitted through
+// SubmitBFSAs still returns the serial answer after a retry.
+func TestChaosFailoverServedBFS(t *testing.T) {
+	const p, n = 4, 200
+	rv := ingest.NewRendezvous(p, 2, 0)
+	ref, err := query.ParallelBFS(context.Background(), cluster.NewInProc(1, 0), serialChainDB(t, n),
+		query.BFSConfig{Source: 0, Dest: n, MaxLevels: n + 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, seed := range seeds(t) {
+		t.Run("seed"+strconv.FormatInt(seed, 10), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			eng, err := core.New(core.Config{
+				Backends: p,
+				Backend:  "hashmap",
+				Fault: &cluster.Plan{Seed: seed, DropProb: 0.005,
+					Crashes: []cluster.Crash{{Node: 1, AfterSends: 60}}},
+				Reliable:        true,
+				ReliableOptions: fastReliable(),
+				Ingest:          ingest.Config{Policy: func() ingest.Policy { return rv }, ReplicationFactor: 2},
+				Failover:        fastFailover(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Lay the chain out as a 2-way ingest would, straight into the
+			// back-ends, so the crash plan counts query traffic only.
+			for v := 0; v < n; v++ {
+				e := graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID(v + 1)}
+				for _, node := range rv.Replicas(e.Src) {
+					if err := eng.DB(int(node)).StoreEdges([]graph.Edge{e}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			qe, err := eng.NewQueryEngine(query.EngineConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := eng.SubmitBFSAs(context.Background(), qe, query.DefaultTenantName,
+				query.BFSConfig{Source: 0, Dest: n, MaxLevels: n + 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-q.Done():
+			case <-time.After(90 * time.Second):
+				t.Fatal("served BFS wedged on the crashed back-end")
+			}
+			if q.Err != nil {
+				t.Fatalf("served BFS: %v", q.Err)
+			}
+			res := q.Result.(query.BFSResult)
+			if res.Found != ref.Found || res.PathLength != ref.PathLength {
+				t.Errorf("served answer (%v,%d) != serial reference (%v,%d)",
+					res.Found, res.PathLength, ref.Found, ref.PathLength)
+			}
+			if res.Failover == nil || res.Failover.Retries == 0 {
+				t.Errorf("failover stats %+v — the mid-query kill never forced a retry", res.Failover)
+			}
+			qe.Close()
+			eng.Close()
+			checkGoroutines(t, before)
+		})
 	}
 }

@@ -339,9 +339,11 @@ func TestChaosMigrateKillThenResume(t *testing.T) {
 			}
 			res, err := query.FailoverBFS(t.Context(), f2, dbs, query.BFSConfig{
 				Source: 0, Dest: chainLen, MaxLevels: chainLen + 10,
-				OwnerOf:     holder2.Policy().(ingest.DirectoryPolicy).OwnerOf,
-				ReplicasOf:  newRP.Replicas,
-				ActiveNodes: holder2.Placement().Members(),
+				Routing: query.Routing{
+					OwnerOf:     holder2.Policy().(ingest.DirectoryPolicy).OwnerOf,
+					ReplicasOf:  newRP.Replicas,
+					ActiveNodes: holder2.Placement().Members(),
+				},
 			}, fastFailover())
 			if err != nil {
 				t.Fatalf("BFS after resume: %v", err)

@@ -13,7 +13,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -106,7 +105,9 @@ type Engine struct {
 	cfg    Config
 	fabric cluster.Fabric
 	dbs    []graphdb.Graph
-	closed bool
+	// closed is set by Close, which signal handlers call while the main
+	// goroutine queries or ingests.
+	closed atomic.Bool
 
 	// lastIngest holds the most recent completed Ingest run's statistics,
 	// for shutdown reporting from signal handlers.
@@ -198,7 +199,7 @@ func (e *Engine) Databases() []graphdb.Graph { return e.dbs }
 // filter graph. makeReader returns front-end copy i's partition of the
 // input (copies run concurrently). It returns ingest statistics.
 func (e *Engine) Ingest(makeReader func(copy int) (graph.EdgeReader, error)) (*ingest.Stats, error) {
-	if e.closed {
+	if e.closed.Load() {
 		return nil, fmt.Errorf("core: engine closed")
 	}
 	icfg := e.cfg.Ingest
@@ -278,7 +279,7 @@ func (e *Engine) IngestEdges(edges []graph.Edge) (*ingest.Stats, error) {
 	return e.Ingest(func(copy int) (graph.EdgeReader, error) {
 		lo := len(edges) * copy / f
 		hi := len(edges) * (copy + 1) / f
-		return &sliceReader{edges: edges[lo:hi]}, nil
+		return graph.NewSliceReader(edges[lo:hi]), nil
 	})
 }
 
@@ -295,20 +296,6 @@ func (e *Engine) IngestGenerated(cfg gen.Config) (*ingest.Stats, error) {
 	return e.Ingest(func(copy int) (graph.EdgeReader, error) { return gen, nil })
 }
 
-type sliceReader struct {
-	edges []graph.Edge
-	pos   int
-}
-
-func (r *sliceReader) ReadEdge() (graph.Edge, error) {
-	if r.pos >= len(r.edges) {
-		return graph.Edge{}, io.EOF
-	}
-	e := r.edges[r.pos]
-	r.pos++
-	return e, nil
-}
-
 // BFS runs a parallel out-of-core BFS across the back-ends. The fringe
 // routing follows the ingestion-time declustering (paper §4.2): a
 // directory policy supplies its vertex→node mapping, a policy without a
@@ -323,14 +310,14 @@ func (e *Engine) BFS(cfg query.BFSConfig) (query.BFSResult, error) {
 // or earlier errors convicted, fringe routing falls through to a dead
 // primary's replicas, and the result carries FailoverStats.
 func (e *Engine) BFSCtx(ctx context.Context, cfg query.BFSConfig) (query.BFSResult, error) {
-	if e.closed {
+	if e.closed.Load() {
 		return query.BFSResult{}, fmt.Errorf("core: engine closed")
 	}
-	rcfg := e.routedBFS(cfg)
-	if rcfg.ReplicasOf != nil {
-		return query.FailoverBFS(ctx, e.fabric, e.dbs, rcfg, e.cfg.Failover)
+	e.route(&cfg.Routing)
+	if cfg.ReplicasOf != nil {
+		return query.FailoverBFS(ctx, e.fabric, e.dbs, cfg, e.cfg.Failover)
 	}
-	return query.ParallelBFS(ctx, e.fabric, e.dbs, rcfg)
+	return query.ParallelBFS(ctx, e.fabric, e.dbs, cfg)
 }
 
 // KHop counts the vertices within cfg.K hops of cfg.Source, with the
@@ -342,49 +329,41 @@ func (e *Engine) KHop(cfg query.KHopConfig) (query.KHopResult, error) {
 
 // KHopCtx is KHop with cancellation.
 func (e *Engine) KHopCtx(ctx context.Context, cfg query.KHopConfig) (query.KHopResult, error) {
-	if e.closed {
+	if e.closed.Load() {
 		return query.KHopResult{}, fmt.Errorf("core: engine closed")
 	}
-	e.route(&cfg.Ownership, &cfg.OwnerOf, &cfg.ReplicasOf, &cfg.ActiveNodes, &cfg.AllowPartial)
+	e.route(&cfg.Routing)
 	if cfg.ReplicasOf != nil {
-		res, _, err := query.FailoverKHop(ctx, e.fabric, e.dbs, cfg, e.cfg.Failover)
-		return res, err
+		return query.FailoverKHop(ctx, e.fabric, e.dbs, cfg, e.cfg.Failover)
 	}
 	return query.ParallelKHop(ctx, e.fabric, e.dbs, cfg)
 }
 
-// route applies the placement policy to one query's routing fields (the
-// same five in BFSConfig and KHopConfig): the ingestion policy's
-// vertex→node mapping — a directory policy supplies OwnerOf, a policy
-// without a global mapping forces broadcast — and, for replicating
-// policies, its replica directory. On an elastic engine the directory,
+// route applies the placement policy to one query's routing: the
+// ingestion policy's vertex→node mapping — a directory policy supplies
+// OwnerOf, a policy without a global mapping forces broadcast — and, for
+// replicating policies, its replica directory. On an elastic engine the directory,
 // the replica lists, and the member roster all come from one placement
 // snapshot, so a query admitted mid-migration is internally consistent
 // and a commit flips routing for the next query in one step.
-func (e *Engine) route(ownership *query.Ownership, ownerOf *func(graph.VertexID) cluster.NodeID,
-	replicas *func(graph.VertexID) []cluster.NodeID, active *[]cluster.NodeID, allowPartial *bool) {
-	if p := e.queryPolicy(active); p != nil {
+func (e *Engine) route(r *query.Routing) {
+	if p := e.queryPolicy(&r.ActiveNodes); p != nil {
+		dp, isDirectory := p.(ingest.DirectoryPolicy)
 		switch {
-		case *ownerOf != nil:
+		case r.OwnerOf != nil:
 			// Caller-provided directory wins.
-		case isDirectoryPolicy(p):
-			*ownerOf = p.(ingest.DirectoryPolicy).OwnerOf
+		case isDirectory:
+			r.OwnerOf = dp.OwnerOf
 		case !p.GloballyMapped():
-			*ownership = query.BroadcastFringe
+			r.Ownership = query.BroadcastFringe
 		}
-		if *replicas == nil {
-			*replicas = replicasOf(p)
+		if r.ReplicasOf == nil {
+			r.ReplicasOf = replicasOf(p)
 		}
 	}
-	if !*allowPartial {
-		*allowPartial = e.cfg.AllowPartial
+	if !r.AllowPartial {
+		r.AllowPartial = e.cfg.AllowPartial
 	}
-}
-
-// routedBFS returns cfg with the placement policy applied.
-func (e *Engine) routedBFS(cfg query.BFSConfig) query.BFSConfig {
-	e.route(&cfg.Ownership, &cfg.OwnerOf, &cfg.ReplicasOf, &cfg.ActiveNodes, &cfg.AllowPartial)
-	return cfg
 }
 
 // queryPolicy resolves one query's routing policy. With a placement
@@ -418,10 +397,19 @@ func replicasOf(p ingest.Policy) func(graph.VertexID) []cluster.NodeID {
 	return rp.Replicas
 }
 
+// Epoch is the committed placement epoch, 0 without a placement holder.
+func (e *Engine) Epoch() uint64 {
+	if e.cfg.Placement == nil {
+		return 0
+	}
+	return e.cfg.Placement.Epoch()
+}
+
 // NewQueryEngine builds a resident concurrent query scheduler over this
-// engine's fabric and databases (see query.Engine). Queries submitted
-// through it run as concurrent readers; the caller closes the returned
-// engine before closing this one.
+// engine (see query.Engine). Queries submitted through it run as
+// concurrent readers through BFSCtx/KHopCtx, so they take the same
+// placement routing and failover as one-shot queries; the caller closes
+// the returned engine before closing this one.
 //
 // On an elastic engine (Placement set) the scheduler's cache keys and
 // snapshot pins carry the committed placement epoch, and a caching
@@ -429,11 +417,11 @@ func replicasOf(p ingest.Policy) func(graph.VertexID) []cluster.NodeID {
 // epoch swap — so a cached result can never outlive the graph state it
 // was computed against.
 func (e *Engine) NewQueryEngine(qcfg query.EngineConfig) (*query.Engine, error) {
-	if e.closed {
+	if e.closed.Load() {
 		return nil, fmt.Errorf("core: engine closed")
 	}
-	if e.cfg.Placement != nil && qcfg.Epoch == nil {
-		qcfg.Epoch = e.cfg.Placement.Epoch
+	if qcfg.Executor == nil {
+		qcfg.Executor = e
 	}
 	qe, err := query.NewEngine(e.fabric, e.dbs, qcfg)
 	if err != nil {
@@ -450,16 +438,11 @@ func (e *Engine) NewQueryEngine(qcfg query.EngineConfig) (*query.Engine, error) 
 	return qe, nil
 }
 
-// SubmitBFSAs admits one BFS run (with policy-based fringe routing
-// applied) into a resident query engine built by NewQueryEngine, under
-// tenant (query.DefaultTenantName for the default tenant).
+// SubmitBFSAs admits one BFS run into a resident query engine built by
+// NewQueryEngine, under tenant (query.DefaultTenantName for the default
+// tenant); the run takes BFSCtx's routing and failover.
 func (e *Engine) SubmitBFSAs(ctx context.Context, qe *query.Engine, tenant string, cfg query.BFSConfig) (*query.Query, error) {
-	return qe.BFSAs(ctx, tenant, e.routedBFS(cfg))
-}
-
-func isDirectoryPolicy(p ingest.Policy) bool {
-	_, ok := p.(ingest.DirectoryPolicy)
-	return ok
+	return qe.BFSAs(ctx, tenant, cfg)
 }
 
 // RunAnalysis invokes a registered Query Service analysis by name.
@@ -473,7 +456,7 @@ func (e *Engine) RunAnalysisCtx(ctx context.Context, name string, params map[str
 	if !ok {
 		return nil, fmt.Errorf("core: unknown analysis %q (registered: %v)", name, query.Analyses())
 	}
-	return a.Run(ctx, e.fabric, e.dbs, params)
+	return a.Run(ctx, e, params)
 }
 
 // ResetMetadata clears per-vertex metadata on every back-end (between
@@ -486,10 +469,9 @@ func (e *Engine) ResetMetadata() {
 
 // Close shuts down the databases and the fabric.
 func (e *Engine) Close() error {
-	if e.closed {
+	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	e.closed = true
 	var first error
 	for _, db := range e.dbs {
 		if db == nil {

@@ -29,7 +29,7 @@ func (e *Engine) migrationConfig(cfg ingest.MigrationConfig) ingest.MigrationCon
 }
 
 func (e *Engine) placement() (*ingest.PlacementHolder, error) {
-	if e.closed {
+	if e.closed.Load() {
 		return nil, fmt.Errorf("core: engine closed")
 	}
 	if e.cfg.Placement == nil {

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"mssg/internal/core"
@@ -63,6 +64,52 @@ func TestEngineClosedOperationsFail(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
+}
+
+// TestEngineCloseDuringQueries: a signal handler closes the engine while
+// other goroutines query it. Under -race the closed flag must be
+// synchronized; every query answers or fails, and none hangs.
+func TestEngineCloseDuringQueries(t *testing.T) {
+	e, err := core.New(core.Config{Backends: 3, Backend: "hashmap", Ingest: ingest.Config{AddReverse: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.IngestEdges(testGraph(t)); err != nil {
+		t.Fatal(err)
+	}
+	var started, done sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		started.Add(1)
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			for n := 0; ; n++ {
+				var err error
+				if i%2 == 0 {
+					_, err = e.BFS(query.BFSConfig{Source: 3, Dest: 57})
+				} else {
+					_, err = e.KHop(query.KHopConfig{Source: 3, K: 2})
+				}
+				if n == 0 {
+					started.Done()
+				}
+				if err != nil {
+					return
+				}
+			}
+		}(i)
+	}
+	started.Wait()
+	var closers sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		closers.Add(1)
+		go func() {
+			defer closers.Done()
+			e.Close()
+		}()
+	}
+	closers.Wait()
+	done.Wait()
 }
 
 func TestIngestGenerated(t *testing.T) {

@@ -143,6 +143,25 @@ func (w *BinaryEdgeWriter) WriteEdge(e Edge) error {
 // Flush implements EdgeWriter.
 func (w *BinaryEdgeWriter) Flush() error { return w.w.Flush() }
 
+// SliceReader streams an in-memory edge list.
+type SliceReader struct {
+	edges []Edge
+	pos   int
+}
+
+// NewSliceReader returns a reader over edges (not copied).
+func NewSliceReader(edges []Edge) *SliceReader { return &SliceReader{edges: edges} }
+
+// ReadEdge implements EdgeReader.
+func (r *SliceReader) ReadEdge() (Edge, error) {
+	if r.pos >= len(r.edges) {
+		return Edge{}, io.EOF
+	}
+	e := r.edges[r.pos]
+	r.pos++
+	return e, nil
+}
+
 // ReadAllEdges drains an EdgeReader into a slice. Intended for tests and
 // small inputs; ingestion streams edges instead.
 func ReadAllEdges(r EdgeReader) ([]Edge, error) {

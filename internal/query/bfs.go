@@ -37,12 +37,43 @@ func (o Ownership) String() string {
 	return "broadcast"
 }
 
+// Routing is where a traversal's fringe goes (paper §4.2) and which nodes
+// serve it; core.Engine fills it from the placement policy.
+type Routing struct {
+	// Ownership selects fringe routing (paper Algorithm 1, lines 16-21).
+	Ownership Ownership
+	// OwnerOf overrides the GID % p vertex→node mapping under
+	// KnownMapping ownership — used with directory-based clustering
+	// policies (paper §3.2: "the Ingestion service needs to keep track
+	// of the owner of that vertex's edges"). Must be safe for concurrent
+	// use and agree with how the graph was actually declustered. Nil
+	// selects the modulo mapping.
+	OwnerOf func(v graph.VertexID) cluster.NodeID
+	// ActiveNodes restricts the run to a subset of the fabric's nodes —
+	// the failover path's surviving back-ends. Must be ascending,
+	// duplicate-free, and identical for the whole run; nil means every
+	// node. Excluded nodes are never sent to, received from, or counted
+	// in collectives, so a query completes with dead peers on the fabric.
+	ActiveNodes []cluster.NodeID
+	// ReplicasOf returns a vertex's ordered replica list (primary first,
+	// matching ingest.ReplicaPolicy.Replicas); fringe routing walks it
+	// and reads from the first live replica. ReplicasOf[0] must agree
+	// with OwnerOf. Nil means unreplicated: a vertex whose owner is
+	// excluded is unreachable.
+	ReplicasOf func(v graph.VertexID) []cluster.NodeID
+	// AllowPartial degrades a shard with no live replica to best-effort:
+	// instead of failing with ErrNoLiveReplica, unreachable fringe
+	// vertices are dropped, counted in FringeDropped, and the result
+	// reports Coverage < 1. Found/PathLength remain exact when Found is
+	// true; a "not found" is only trusted for the covered fraction.
+	AllowPartial bool
+}
+
 // BFSConfig parameterizes one parallel out-of-core BFS.
 type BFSConfig struct {
 	Source graph.VertexID
 	Dest   graph.VertexID
-	// Ownership selects fringe routing (paper Algorithm 1, lines 16-21).
-	Ownership Ownership
+	Routing
 	// Pipelined selects Algorithm 2 (threshold-chunked, overlapped
 	// communication) instead of Algorithm 1.
 	Pipelined bool
@@ -73,34 +104,9 @@ type BFSConfig struct {
 	// ReturnPath queries and batch-scan backends (StreamDB), which fall
 	// back to serial expansion.
 	Workers int
-	// OwnerOf overrides the GID %% p vertex→node mapping under
-	// KnownMapping ownership — used with directory-based clustering
-	// policies (paper §3.2: "the Ingestion service needs to keep track
-	// of the owner of that vertex's edges"). Must be safe for concurrent
-	// use and agree with how the graph was actually declustered. Nil
-	// selects the modulo mapping.
-	OwnerOf func(v graph.VertexID) cluster.NodeID
 	// NewVisited constructs the per-node visited structure; nil means
 	// in-memory. It is called once per node.
 	NewVisited func(node cluster.NodeID) (Visited, error)
-	// ActiveNodes restricts the run to a subset of the fabric's nodes —
-	// the failover path's surviving back-ends. Must be ascending,
-	// duplicate-free, and identical for the whole run; nil means every
-	// node. Excluded nodes are never sent to, received from, or counted
-	// in collectives, so a query completes with dead peers on the fabric.
-	ActiveNodes []cluster.NodeID
-	// ReplicasOf returns a vertex's ordered replica list (primary first,
-	// matching ingest.ReplicaPolicy.Replicas); fringe routing walks it
-	// and reads from the first live replica. ReplicasOf[0] must agree
-	// with OwnerOf. Nil means unreplicated: a vertex whose owner is
-	// excluded is unreachable.
-	ReplicasOf func(v graph.VertexID) []cluster.NodeID
-	// AllowPartial degrades a shard with no live replica to best-effort:
-	// instead of failing with ErrNoLiveReplica, unreachable fringe
-	// vertices are dropped, counted in FringeDropped, and the result
-	// reports Coverage < 1. Found/PathLength remain exact when Found is
-	// true; a "not found" is only trusted for the covered fraction.
-	AllowPartial bool
 }
 
 // chunk is the exchange discipline as the traversal kernel reads it: 0

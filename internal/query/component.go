@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"mssg/internal/cluster"
 	"mssg/internal/graph"
-	"mssg/internal/graphdb"
 )
 
 // Connected-component analysis: the size and radius (from the seed) of
@@ -28,25 +26,19 @@ type ComponentResult struct {
 	EdgesTraversed int64
 }
 
-// ComponentMaxLevels bounds the sweep; small-world components exhaust in
+// componentMaxLevels bounds the sweep; small-world components exhaust in
 // a handful of levels, and 1024 levels covers even path-shaped graphs of
 // experiment scale.
-const ComponentMaxLevels = 1024
+const componentMaxLevels = 1024
 
-// ParallelComponent measures the connected component containing seed.
-func ParallelComponent(ctx context.Context, f cluster.Fabric, dbs []graphdb.Graph, seed graph.VertexID, ownership Ownership) (ComponentResult, error) {
-	kh, err := ParallelKHop(ctx, f, dbs, KHopConfig{Source: seed, K: ComponentMaxLevels, Ownership: ownership})
+// ParallelComponent measures the connected component containing seed:
+// the size and eccentricity of one k-hop sweep bounded by
+// componentMaxLevels, run by x (a core.Engine routes it).
+func ParallelComponent(ctx context.Context, x Executor, seed graph.VertexID, ownership Ownership) (ComponentResult, error) {
+	kh, err := x.KHopCtx(ctx, KHopConfig{Source: seed, K: componentMaxLevels, Routing: Routing{Ownership: ownership}})
 	if err != nil {
 		return ComponentResult{}, err
 	}
-	return ComponentOf(kh), nil
-}
-
-// ComponentOf converts a component sweep — a k-hop from the seed bounded
-// by ComponentMaxLevels — into the component's size and eccentricity.
-// Callers that route the sweep themselves (core.Engine.KHop applies the
-// placement policy) run it and convert here.
-func ComponentOf(kh KHopResult) ComponentResult {
 	res := ComponentResult{
 		Size:           kh.Total + 1, // + the seed itself
 		EdgesTraversed: kh.EdgesTraversed,
@@ -56,7 +48,7 @@ func ComponentOf(kh KHopResult) ComponentResult {
 			res.Eccentricity = int32(lvl) + 1
 		}
 	}
-	return res
+	return res, nil
 }
 
 // componentAnalysis adapts ParallelComponent to the registry.
@@ -68,7 +60,7 @@ func (componentAnalysis) Describe() string {
 	return "size and eccentricity of the connected component containing a vertex (params: source, broadcast)"
 }
 
-func (componentAnalysis) Run(ctx context.Context, f cluster.Fabric, dbs []graphdb.Graph, params map[string]string) (any, error) {
+func (componentAnalysis) Run(ctx context.Context, x Executor, params map[string]string) (any, error) {
 	src, err := requiredVertex(params, "source")
 	if err != nil {
 		return nil, err
@@ -77,7 +69,7 @@ func (componentAnalysis) Run(ctx context.Context, f cluster.Fabric, dbs []graphd
 	if params["broadcast"] == "true" {
 		ownership = BroadcastFringe
 	}
-	res, err := ParallelComponent(ctx, f, dbs, src, ownership)
+	res, err := ParallelComponent(ctx, x, src, ownership)
 	if err != nil {
 		return nil, fmt.Errorf("query: component analysis: %w", err)
 	}

@@ -13,7 +13,7 @@ func TestComponentChain(t *testing.T) {
 	f := cluster.NewInProc(3, 0)
 	defer f.Close()
 	dbs := partition(t, chainEdges(10), 3)
-	res, err := ParallelComponent(context.Background(), f, dbs, 0, KnownMapping)
+	res, err := ParallelComponent(context.Background(), direct{f, dbs}, 0, KnownMapping)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestComponentChain(t *testing.T) {
 		t.Fatalf("Eccentricity = %d, want 10", res.Eccentricity)
 	}
 	// From the middle, eccentricity halves.
-	res, err = ParallelComponent(context.Background(), f, dbs, 5, KnownMapping)
+	res, err = ParallelComponent(context.Background(), direct{f, dbs}, 5, KnownMapping)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,14 +38,14 @@ func TestComponentDisconnected(t *testing.T) {
 	f := cluster.NewInProc(2, 0)
 	defer f.Close()
 	dbs := partition(t, edges, 2)
-	a, err := ParallelComponent(context.Background(), f, dbs, 0, KnownMapping)
+	a, err := ParallelComponent(context.Background(), direct{f, dbs}, 0, KnownMapping)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Size != 3 {
 		t.Fatalf("component of 0 has size %d, want 3", a.Size)
 	}
-	b, err := ParallelComponent(context.Background(), f, dbs, 50, KnownMapping)
+	b, err := ParallelComponent(context.Background(), direct{f, dbs}, 50, KnownMapping)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestComponentIsolatedVertex(t *testing.T) {
 	f := cluster.NewInProc(2, 0)
 	defer f.Close()
 	dbs := partition(t, chainEdges(3), 2)
-	res, err := ParallelComponent(context.Background(), f, dbs, 77, KnownMapping)
+	res, err := ParallelComponent(context.Background(), direct{f, dbs}, 77, KnownMapping)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestComponentAnalysisRegistry(t *testing.T) {
 	f := cluster.NewInProc(2, 0)
 	defer f.Close()
 	dbs := partition(t, chainEdges(4), 2)
-	out, err := a.Run(context.Background(), f, dbs, map[string]string{"source": "2"})
+	out, err := a.Run(context.Background(), direct{f, dbs}, map[string]string{"source": "2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestComponentAnalysisRegistry(t *testing.T) {
 	if res.Size != 5 {
 		t.Fatalf("component size = %d, want 5", res.Size)
 	}
-	if _, err := a.Run(context.Background(), f, dbs, nil); err == nil {
+	if _, err := a.Run(context.Background(), direct{f, dbs}, nil); err == nil {
 		t.Fatal("missing source accepted")
 	}
 }

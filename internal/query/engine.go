@@ -98,10 +98,12 @@ type EngineConfig struct {
 	// can share one, or tests can use a private registry). Nil with
 	// CacheBytes <= 0 disables caching.
 	Cache *qcache.Cache
-	// Epoch supplies the committed placement epoch for cache keys and
-	// snapshot pinning (wire ingest.PlacementHolder.Epoch on elastic
-	// clusters). Nil means epoch 0 (static cluster).
-	Epoch func() uint64
+	// Executor runs every query the engine admits and supplies the
+	// placement epoch for cache keys and snapshot pinning.
+	// core.Engine.NewQueryEngine sets the core engine, so served queries
+	// take its placement routing and failover. Nil runs the kernel
+	// directly on NewEngine's fabric and databases, at epoch 0.
+	Executor Executor
 	// Generation overrides the graph-generation source for cache keys
 	// and snapshot pinning. Nil derives it from the engine's databases
 	// via graphdb.GraphsGeneration.
@@ -271,6 +273,9 @@ func NewEngine(f cluster.Fabric, dbs []graphdb.Graph, cfg EngineConfig) (*Engine
 		return nil, fmt.Errorf("query: %d databases for %d nodes", len(dbs), f.Nodes())
 	}
 	cfg = cfg.withDefaults()
+	if cfg.Executor == nil {
+		cfg.Executor = direct{f, dbs}
+	}
 	for name := range cfg.Tenants {
 		if err := validTenant(name); err != nil {
 			return nil, err
@@ -470,12 +475,18 @@ func (e *Engine) run(q *Query) {
 	case err == nil:
 		e.stats.Completed++
 		t.stats.Completed++
+		met.completed.Inc()
+		t.met.completed.Inc()
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		e.stats.Cancelled++
 		t.stats.Cancelled++
+		met.cancelled.Inc()
+		t.met.cancelled.Inc()
 	default:
 		e.stats.Failed++
 		t.stats.Failed++
+		met.failed.Inc()
+		t.met.failed.Inc()
 	}
 	e.mu.Unlock()
 
@@ -483,17 +494,6 @@ func (e *Engine) run(q *Query) {
 	t.met.queueWaitNs.Observe(q.QueueWait.Nanoseconds())
 	t.met.execNs.Observe(q.Finished.Sub(q.Started).Nanoseconds())
 	t.met.queryNs.Observe(q.Finished.Sub(q.Submitted).Nanoseconds())
-	switch {
-	case err == nil:
-		met.completed.Inc()
-		t.met.completed.Inc()
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		met.cancelled.Inc()
-		t.met.cancelled.Inc()
-	default:
-		met.failed.Inc()
-		t.met.failed.Inc()
-	}
 	met.inFlight.Add(-1)
 	q.status.Store(int32(StatusDone))
 	close(q.done)
@@ -506,13 +506,8 @@ func (e *Engine) run(q *Query) {
 	e.mu.Unlock()
 }
 
-// epoch reads the placement epoch source (0 without one).
-func (e *Engine) epoch() uint64 {
-	if e.cfg.Epoch == nil {
-		return 0
-	}
-	return e.cfg.Epoch()
-}
+// epoch reads the executor's placement epoch.
+func (e *Engine) epoch() uint64 { return e.cfg.Executor.Epoch() }
 
 // resultCost estimates a cached result's memory footprint for the
 // cache's byte budget.
@@ -632,33 +627,33 @@ func (e *Engine) SubmitAs(ctx context.Context, tenant, analysis string, params m
 		return nil, fmt.Errorf("query: unknown analysis %q (have %v)", analysis, Analyses())
 	}
 	return e.submit(ctx, tenant, analysis, qcache.CanonicalParams(params), func(ctx context.Context) (any, error) {
-		return a.Run(ctx, e.f, e.dbs, params)
+		return a.Run(ctx, e.cfg.Executor, params)
 	})
 }
 
-// BFS admits one ParallelBFS run under the default tenant.
+// BFS admits one executor BFS run under the default tenant.
 func (e *Engine) BFS(ctx context.Context, cfg BFSConfig) (*Query, error) {
 	return e.BFSAs(ctx, DefaultTenantName, cfg)
 }
 
-// BFSAs admits one ParallelBFS run under an explicit tenant.
+// BFSAs admits one executor BFS run under an explicit tenant.
 func (e *Engine) BFSAs(ctx context.Context, tenant string, cfg BFSConfig) (*Query, error) {
 	key, _ := bfsCacheKey(cfg)
 	return e.submit(ctx, tenant, "bfs", key, func(ctx context.Context) (any, error) {
-		return ParallelBFS(ctx, e.f, e.dbs, cfg)
+		return e.cfg.Executor.BFSCtx(ctx, cfg)
 	})
 }
 
-// KHop admits one ParallelKHop run under the default tenant.
+// KHop admits one executor k-hop run under the default tenant.
 func (e *Engine) KHop(ctx context.Context, cfg KHopConfig) (*Query, error) {
 	return e.KHopAs(ctx, DefaultTenantName, cfg)
 }
 
-// KHopAs admits one ParallelKHop run under an explicit tenant.
+// KHopAs admits one executor k-hop run under an explicit tenant.
 func (e *Engine) KHopAs(ctx context.Context, tenant string, cfg KHopConfig) (*Query, error) {
 	key, _ := khopCacheKey(cfg)
 	return e.submit(ctx, tenant, "khop", key, func(ctx context.Context) (any, error) {
-		return ParallelKHop(ctx, e.f, e.dbs, cfg)
+		return e.cfg.Executor.KHopCtx(ctx, cfg)
 	})
 }
 

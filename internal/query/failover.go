@@ -147,11 +147,15 @@ func retryable(err error) bool {
 		len(cluster.DownNodes(err)) > 0
 }
 
-// failoverLoop is the shared retry engine: attempt runs one try on the
-// given active set and returns (levelsCompleted, err).
+// failoverLoop is the retry engine FailoverBFS and FailoverKHop share:
+// attempt runs one try on the given active set and returns
+// (levelsCompleted, err).
 func failoverLoop(ctx context.Context, f cluster.Fabric, base []cluster.NodeID, opt FailoverOptions,
 	attempt func(ctx context.Context, active []cluster.NodeID) (int32, error)) (*FailoverStats, error) {
 
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	opt = opt.withDefaults()
 	health := opt.healthFor(f)
 	stats := &FailoverStats{}
@@ -234,9 +238,6 @@ func failoverLoop(ctx context.Context, f cluster.Fabric, base []cluster.NodeID, 
 // dead the query fails with ErrNoLiveReplica (or degrades, when
 // cfg.AllowPartial is set, to a Coverage < 1 result).
 func FailoverBFS(ctx context.Context, f cluster.Fabric, dbs []graphdb.Graph, cfg BFSConfig, opt FailoverOptions) (BFSResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	var res BFSResult
 	stats, err := failoverLoop(ctx, f, cfg.ActiveNodes, opt, func(actx context.Context, active []cluster.NodeID) (int32, error) {
 		acfg := cfg
@@ -251,10 +252,7 @@ func FailoverBFS(ctx context.Context, f cluster.Fabric, dbs []graphdb.Graph, cfg
 }
 
 // FailoverKHop is FailoverBFS for the k-hop neighbourhood count.
-func FailoverKHop(ctx context.Context, f cluster.Fabric, dbs []graphdb.Graph, cfg KHopConfig, opt FailoverOptions) (KHopResult, FailoverStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func FailoverKHop(ctx context.Context, f cluster.Fabric, dbs []graphdb.Graph, cfg KHopConfig, opt FailoverOptions) (KHopResult, error) {
 	var res KHopResult
 	stats, err := failoverLoop(ctx, f, cfg.ActiveNodes, opt, func(actx context.Context, active []cluster.NodeID) (int32, error) {
 		acfg := cfg
@@ -264,5 +262,6 @@ func FailoverKHop(ctx context.Context, f cluster.Fabric, dbs []graphdb.Graph, cf
 		return int32(len(res.PerLevel)), aerr
 	})
 	stats.ReplicaReads = res.ReplicaReads
-	return res, *stats, err
+	res.Failover = stats
+	return res, err
 }

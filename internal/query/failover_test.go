@@ -75,9 +75,7 @@ func TestFailoverBFSReplicaReroute(t *testing.T) {
 			for _, dest := range dests {
 				cfg := BFSConfig{
 					Source: 0, Dest: dest, Pipelined: pipelined, Threshold: 4,
-					OwnerOf:     rv.OwnerOf,
-					ReplicasOf:  rv.Replicas,
-					ActiveNodes: without(p, dead),
+					Routing: Routing{OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas, ActiveNodes: without(p, dead)},
 				}
 				res, err := ParallelBFS(context.Background(), f, dbs, cfg)
 				if err != nil {
@@ -119,8 +117,7 @@ func TestFailoverBFSLevelStatsCarryReplicaReads(t *testing.T) {
 	dbs := replicate(t, edges, rv, p)
 	res, err := ParallelBFS(context.Background(), f, dbs, BFSConfig{
 		Source: 0, Dest: 199,
-		OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas,
-		ActiveNodes: without(p, 1),
+		Routing: Routing{OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas, ActiveNodes: without(p, 1)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,8 +168,7 @@ func TestFailoverBFSAllReplicasDead(t *testing.T) {
 		dbs := replicate(t, edges, rv, p)
 		cfg := BFSConfig{
 			Source: 0, Dest: graph.VertexID(n), Pipelined: pipelined,
-			OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas,
-			ActiveNodes: without(p, a, b),
+			Routing: Routing{OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas, ActiveNodes: without(p, a, b)},
 		}
 		_, err := ParallelBFS(context.Background(), f, dbs, cfg)
 		if !errors.Is(err, ErrNoLiveReplica) || !errors.Is(err, ErrPartialCoverage) {
@@ -208,8 +204,7 @@ func TestFailoverBFSUnroutableSource(t *testing.T) {
 	dbs := replicate(t, chainEdges(6), rv, p)
 	cfg := BFSConfig{
 		Source: src, Dest: 6,
-		OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas,
-		ActiveNodes: without(p, reps[0], reps[1]),
+		Routing: Routing{OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas, ActiveNodes: without(p, reps[0], reps[1])},
 	}
 	if _, err := ParallelBFS(context.Background(), f, dbs, cfg); !errors.Is(err, ErrNoLiveReplica) {
 		t.Fatalf("err = %v, want ErrNoLiveReplica", err)
@@ -232,8 +227,7 @@ func TestFailoverBFSReturnPath(t *testing.T) {
 		dbs := replicate(t, edges, rv, p)
 		res, err := ParallelBFS(context.Background(), f, dbs, BFSConfig{
 			Source: 0, Dest: graph.VertexID(n), ReturnPath: true,
-			OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas,
-			ActiveNodes: without(p, dead),
+			Routing: Routing{OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas, ActiveNodes: without(p, dead)},
 		})
 		if err != nil {
 			t.Fatalf("dead=%d: %v", dead, err)
@@ -262,15 +256,14 @@ func TestFailoverKHopReplicaReroute(t *testing.T) {
 	defer f.Close()
 	dbs := replicate(t, edges, rv, p)
 	full, err := ParallelKHop(context.Background(), f, dbs, KHopConfig{
-		Source: 0, K: 4, OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas,
+		Source: 0, K: 4, Routing: Routing{OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for dead := cluster.NodeID(0); dead < p; dead++ {
 		res, err := ParallelKHop(context.Background(), f, dbs, KHopConfig{
-			Source: 0, K: 4, OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas,
-			ActiveNodes: without(p, dead),
+			Source: 0, K: 4, Routing: Routing{OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas, ActiveNodes: without(p, dead)},
 		})
 		if err != nil {
 			t.Fatalf("dead=%d: %v", dead, err)
@@ -298,8 +291,7 @@ func TestFailoverKHopAllReplicasDead(t *testing.T) {
 	defer f.Close()
 	dbs := replicate(t, edges, rv, p)
 	cfg := KHopConfig{
-		Source: 0, K: n, OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas,
-		ActiveNodes: without(p, a, b),
+		Source: 0, K: n, Routing: Routing{OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas, ActiveNodes: without(p, a, b)},
 	}
 	if _, err := ParallelKHop(context.Background(), f, dbs, cfg); !errors.Is(err, ErrNoLiveReplica) {
 		t.Fatalf("err = %v, want ErrNoLiveReplica", err)
@@ -327,7 +319,7 @@ func TestFailoverRosterValidation(t *testing.T) {
 		{0, 1, 2, 3}, // out of range
 	} {
 		if _, err := ParallelBFS(context.Background(), f, dbs, BFSConfig{
-			Source: 0, Dest: 4, ActiveNodes: bad,
+			Source: 0, Dest: 4, Routing: Routing{ActiveNodes: bad},
 		}); err == nil {
 			t.Fatalf("active set %v accepted", bad)
 		}
@@ -350,7 +342,7 @@ func TestFailoverBFSHealthViewExclusion(t *testing.T) {
 	defer f.Close()
 	dbs := replicate(t, edges, rv, p)
 	res, err := FailoverBFS(context.Background(), f, dbs, BFSConfig{
-		Source: 0, Dest: 12, OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas,
+		Source: 0, Dest: 12, Routing: Routing{OwnerOf: rv.OwnerOf, ReplicasOf: rv.Replicas},
 	}, FailoverOptions{Health: stubHealth{2: true}})
 	if err != nil {
 		t.Fatal(err)

@@ -141,7 +141,7 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 						for i, pr := range pairs {
 							got, err := ParallelBFS(context.Background(), f, dbs, BFSConfig{
 								Source: pr[0], Dest: pr[1],
-								Ownership: l.ownership, OwnerOf: l.ownerOf, ReplicasOf: l.replicasOf, ActiveNodes: l.active,
+								Routing:   Routing{Ownership: l.ownership, OwnerOf: l.ownerOf, ReplicasOf: l.replicasOf, ActiveNodes: l.active},
 								Pipelined: pipelined, Threshold: 8, Workers: workers, Prefetch: useGrdb,
 							})
 							if err != nil {
@@ -197,7 +197,7 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 				for k := 1; k <= 4; k++ {
 					got, err := ParallelKHop(context.Background(), f, dbs, KHopConfig{
 						Source: 0, K: k, Prefetch: useGrdb,
-						Ownership: l.ownership, OwnerOf: l.ownerOf, ReplicasOf: l.replicasOf, ActiveNodes: l.active,
+						Routing: Routing{Ownership: l.ownership, OwnerOf: l.ownerOf, ReplicasOf: l.replicasOf, ActiveNodes: l.active},
 					})
 					if err != nil {
 						t.Fatalf("k-hop k=%d: %v", k, err)
@@ -228,7 +228,7 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 				if l.active == nil {
 					// ParallelComponent takes no roster, so it runs on the
 					// full-roster layouts only.
-					comp, err := ParallelComponent(context.Background(), f, dbs, 0, l.ownership)
+					comp, err := ParallelComponent(context.Background(), direct{f, dbs}, 0, l.ownership)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -22,22 +22,11 @@ type KHopConfig struct {
 	Source graph.VertexID
 	// K is the number of BFS levels to expand.
 	K int
-	// Ownership selects fringe routing, as in BFSConfig.
-	Ownership Ownership
+	Routing
 	// Prefetch warms the storage cache for each level's fringe before
 	// expansion, as in BFSConfig, pipelined with the exchange when the
 	// backend implements graphdb.AsyncPrefetcher.
 	Prefetch bool
-	// OwnerOf overrides the GID % p mapping under KnownMapping ownership,
-	// exactly as in BFSConfig. Nil selects the modulo mapping.
-	OwnerOf func(v graph.VertexID) cluster.NodeID
-	// ActiveNodes, ReplicasOf, and AllowPartial are the failover knobs,
-	// with BFSConfig semantics: run on a node subset, read a dead
-	// primary's shard from its replicas, and degrade to best-effort
-	// coverage instead of failing when no replica survives.
-	ActiveNodes  []cluster.NodeID
-	ReplicasOf   func(v graph.VertexID) []cluster.NodeID
-	AllowPartial bool
 }
 
 // KHopResult reports the neighbourhood profile.
@@ -56,6 +45,9 @@ type KHopResult struct {
 	Dropped      int64
 	// Coverage is Total/(Total+Dropped); 1 for a complete count.
 	Coverage float64
+	// Failover is filled by FailoverKHop with its retry accounting; plain
+	// ParallelKHop leaves it nil.
+	Failover *FailoverStats
 }
 
 // ParallelKHop runs the analysis across the fabric under its own leased
@@ -70,8 +62,7 @@ func ParallelKHop(ctx context.Context, f cluster.Fabric, dbs []graphdb.Graph, cf
 		return KHopResult{}, fmt.Errorf("query: k-hop needs K >= 1, got %d", cfg.K)
 	}
 	tr := traversal{name: "khop", BFSConfig: BFSConfig{
-		Source: cfg.Source, Ownership: cfg.Ownership, Prefetch: cfg.Prefetch, Workers: 1,
-		OwnerOf: cfg.OwnerOf, ReplicasOf: cfg.ReplicasOf, ActiveNodes: cfg.ActiveNodes, AllowPartial: cfg.AllowPartial,
+		Source: cfg.Source, Routing: cfg.Routing, Prefetch: cfg.Prefetch, Workers: 1,
 	}}
 	perNode := make([][]int64, f.Nodes())
 	tot, err := runTraversal(ctx, f, dbs, &tr, func(k *kernel) error {
@@ -122,7 +113,7 @@ func khopCount(k *kernel) int64 {
 	return n
 }
 
-// khopAnalysis adapts ParallelKHop to the Query Service registry.
+// khopAnalysis adapts the executor's k-hop to the Query Service registry.
 type khopAnalysis struct{}
 
 func (khopAnalysis) Name() string { return "khop" }
@@ -131,7 +122,7 @@ func (khopAnalysis) Describe() string {
 	return "count vertices within k hops of a source (params: source, k, broadcast)"
 }
 
-func (khopAnalysis) Run(ctx context.Context, f cluster.Fabric, dbs []graphdb.Graph, params map[string]string) (any, error) {
+func (khopAnalysis) Run(ctx context.Context, x Executor, params map[string]string) (any, error) {
 	src, err := requiredVertex(params, "source")
 	if err != nil {
 		return nil, err
@@ -151,7 +142,7 @@ func (khopAnalysis) Run(ctx context.Context, f cluster.Fabric, dbs []graphdb.Gra
 	if params["prefetch"] == "true" {
 		cfg.Prefetch = true
 	}
-	return ParallelKHop(ctx, f, dbs, cfg)
+	return x.KHopCtx(ctx, cfg)
 }
 
 // statsAnalysis reports aggregate GraphDB work counters per node — the
@@ -170,7 +161,8 @@ type DBStats struct {
 	Total   graphdb.Stats
 }
 
-func (statsAnalysis) Run(ctx context.Context, f cluster.Fabric, dbs []graphdb.Graph, params map[string]string) (any, error) {
+func (statsAnalysis) Run(ctx context.Context, x Executor, params map[string]string) (any, error) {
+	dbs := x.Databases()
 	out := DBStats{PerNode: make([]graphdb.Stats, len(dbs))}
 	for i, db := range dbs {
 		s := db.Stats()

@@ -44,7 +44,7 @@ func TestParallelMatchesSerialBFS(t *testing.T) {
 			for dest := graph.VertexID(1); dest < 600; dest += 61 {
 				base := BFSConfig{
 					Source: 0, Dest: dest,
-					Ownership: tc.ownership, Pipelined: tc.pipelined,
+					Routing: Routing{Ownership: tc.ownership}, Pipelined: tc.pipelined,
 					// Small threshold so the pipelined run actually
 					// exercises mid-level chunk sends from workers.
 					Threshold: 8,

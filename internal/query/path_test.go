@@ -98,7 +98,7 @@ func TestReturnPathBroadcastMode(t *testing.T) {
 	dbs := scatter(t, edges, 3)
 	for _, dest := range []graph.VertexID{50, 120, 199} {
 		res, err := ParallelBFS(context.Background(), f, dbs, BFSConfig{
-			Source: 0, Dest: dest, ReturnPath: true, Ownership: BroadcastFringe,
+			Source: 0, Dest: dest, ReturnPath: true, Routing: Routing{Ownership: BroadcastFringe},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -157,7 +157,7 @@ func TestBroadcastModeOnScatteredStorage(t *testing.T) {
 		for _, dest := range []graph.VertexID{10, 100, 299} {
 			res, err := ParallelBFS(context.Background(), f, dbs, BFSConfig{
 				Source: 5, Dest: dest,
-				Ownership: BroadcastFringe, Pipelined: pipelined, Threshold: 4,
+				Routing: Routing{Ownership: BroadcastFringe}, Pipelined: pipelined, Threshold: 4,
 			})
 			if err != nil {
 				t.Fatalf("broadcast BFS: %v", err)
@@ -339,16 +339,16 @@ func TestAnalysisRegistry(t *testing.T) {
 	f := cluster.NewInProc(2, 0)
 	defer f.Close()
 	dbs := partition(t, chainEdges(4), 2)
-	if _, err := a.Run(context.Background(), f, dbs, map[string]string{"source": "0"}); err == nil {
+	if _, err := a.Run(context.Background(), direct{f, dbs}, map[string]string{"source": "0"}); err == nil {
 		t.Fatal("missing dest accepted")
 	}
-	if _, err := a.Run(context.Background(), f, dbs, map[string]string{"source": "x", "dest": "1"}); err == nil {
+	if _, err := a.Run(context.Background(), direct{f, dbs}, map[string]string{"source": "x", "dest": "1"}); err == nil {
 		t.Fatal("bad source accepted")
 	}
-	if _, err := a.Run(context.Background(), f, dbs, map[string]string{"source": "0", "dest": "1", "threshold": "zz"}); err == nil {
+	if _, err := a.Run(context.Background(), direct{f, dbs}, map[string]string{"source": "0", "dest": "1", "threshold": "zz"}); err == nil {
 		t.Fatal("bad threshold accepted")
 	}
-	out, err := a.Run(context.Background(), f, dbs, map[string]string{
+	out, err := a.Run(context.Background(), direct{f, dbs}, map[string]string{
 		"source": "0", "dest": "3", "pipelined": "true", "threshold": "2",
 	})
 	if err != nil {
@@ -387,7 +387,7 @@ func TestKHopChain(t *testing.T) {
 		} else {
 			dbs = scatter(t, edges, 3)
 		}
-		res, err := ParallelKHop(context.Background(), f, dbs, KHopConfig{Source: 0, K: 4, Ownership: ownership})
+		res, err := ParallelKHop(context.Background(), f, dbs, KHopConfig{Source: 0, K: 4, Routing: Routing{Ownership: ownership}})
 		if err != nil {
 			t.Fatalf("KHop: %v", err)
 		}
@@ -452,7 +452,7 @@ func TestKHopAnalysisRegistry(t *testing.T) {
 	f := cluster.NewInProc(2, 0)
 	defer f.Close()
 	dbs := partition(t, chainEdges(5), 2)
-	out, err := a.Run(context.Background(), f, dbs, map[string]string{"source": "0", "k": "2"})
+	out, err := a.Run(context.Background(), direct{f, dbs}, map[string]string{"source": "0", "k": "2"})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -460,10 +460,10 @@ func TestKHopAnalysisRegistry(t *testing.T) {
 	if res.Total != 2 {
 		t.Fatalf("khop total = %d, want 2", res.Total)
 	}
-	if _, err := a.Run(context.Background(), f, dbs, map[string]string{"source": "0"}); err == nil {
+	if _, err := a.Run(context.Background(), direct{f, dbs}, map[string]string{"source": "0"}); err == nil {
 		t.Fatal("missing k accepted")
 	}
-	if _, err := a.Run(context.Background(), f, dbs, map[string]string{"source": "0", "k": "x"}); err == nil {
+	if _, err := a.Run(context.Background(), direct{f, dbs}, map[string]string{"source": "0", "k": "x"}); err == nil {
 		t.Fatal("bad k accepted")
 	}
 }
@@ -476,7 +476,7 @@ func TestDBStatsAnalysis(t *testing.T) {
 	f := cluster.NewInProc(2, 0)
 	defer f.Close()
 	dbs := partition(t, chainEdges(5), 2)
-	out, err := a.Run(context.Background(), f, dbs, nil)
+	out, err := a.Run(context.Background(), direct{f, dbs}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

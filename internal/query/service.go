@@ -21,11 +21,43 @@ type Analysis interface {
 	Name() string
 	// Describe is a one-line human description.
 	Describe() string
-	// Run executes the analysis across the fabric; params are
-	// analysis-specific strings (a query-language stand-in). Cancelling
-	// ctx aborts the analysis with ctx.Err().
-	Run(ctx context.Context, f cluster.Fabric, dbs []graphdb.Graph, params map[string]string) (any, error)
+	// Run executes the analysis through x; params are analysis-specific
+	// strings (a query-language stand-in). Cancelling ctx aborts the
+	// analysis with ctx.Err().
+	Run(ctx context.Context, x Executor, params map[string]string) (any, error)
 }
+
+// Executor runs traversals on one cluster: the single place that decides
+// a query's routing and failover. *core.Engine implements it with its
+// placement policy applied (owner directory or broadcast, replicas,
+// member roster, failover retries); registry analyses and the resident
+// Engine run every traversal through one.
+type Executor interface {
+	BFSCtx(ctx context.Context, cfg BFSConfig) (BFSResult, error)
+	KHopCtx(ctx context.Context, cfg KHopConfig) (KHopResult, error)
+	// Epoch is the committed placement epoch (0 on a static cluster).
+	Epoch() uint64
+	// Databases are the per-node back-ends, indexed by node.
+	Databases() []graphdb.Graph
+}
+
+// direct is the Executor of a bare fabric and its databases: it runs the
+// kernel with the caller's routing as given, at epoch 0.
+type direct struct {
+	f   cluster.Fabric
+	dbs []graphdb.Graph
+}
+
+func (d direct) BFSCtx(ctx context.Context, cfg BFSConfig) (BFSResult, error) {
+	return ParallelBFS(ctx, d.f, d.dbs, cfg)
+}
+
+func (d direct) KHopCtx(ctx context.Context, cfg KHopConfig) (KHopResult, error) {
+	return ParallelKHop(ctx, d.f, d.dbs, cfg)
+}
+
+func (direct) Epoch() uint64                { return 0 }
+func (d direct) Databases() []graphdb.Graph { return d.dbs }
 
 var (
 	analysesMu sync.RWMutex
@@ -62,7 +94,7 @@ func Analyses() []string {
 	return names
 }
 
-// bfsAnalysis adapts ParallelBFS to the Analysis registry.
+// bfsAnalysis adapts the executor's BFS to the Analysis registry.
 type bfsAnalysis struct{}
 
 func (bfsAnalysis) Name() string { return "bfs" }
@@ -71,7 +103,7 @@ func (bfsAnalysis) Describe() string {
 	return "parallel out-of-core breadth-first search between two vertices (params: source, dest, pipelined, broadcast, threshold, workers)"
 }
 
-func (bfsAnalysis) Run(ctx context.Context, f cluster.Fabric, dbs []graphdb.Graph, params map[string]string) (any, error) {
+func (bfsAnalysis) Run(ctx context.Context, x Executor, params map[string]string) (any, error) {
 	cfg := BFSConfig{}
 	src, err := requiredVertex(params, "source")
 	if err != nil {
@@ -102,7 +134,7 @@ func (bfsAnalysis) Run(ctx context.Context, f cluster.Fabric, dbs []graphdb.Grap
 		}
 		cfg.Workers = n
 	}
-	return ParallelBFS(ctx, f, dbs, cfg)
+	return x.BFSCtx(ctx, cfg)
 }
 
 func requiredVertex(params map[string]string, key string) (graph.VertexID, error) {

@@ -339,6 +339,14 @@ func TestDeadlineStartsAtExecution(t *testing.T) {
 	blocker.Wait()
 }
 
+// epochExec is the direct executor at a fixed placement epoch.
+type epochExec struct {
+	direct
+	epoch uint64
+}
+
+func (x *epochExec) Epoch() uint64 { return x.epoch }
+
 // TestEngineResultCache pins the engine-level cache path: a repeated
 // identical BFS is answered from the cache (same result value, no
 // second execution) and a generation bump structurally invalidates it.
@@ -347,13 +355,15 @@ func TestEngineResultCache(t *testing.T) {
 	var mu sync.Mutex
 	genFn := func() uint64 { mu.Lock(); defer mu.Unlock(); return gen }
 
-	e, _, _, _ := engineGraph(t, 2, EngineConfig{
+	x := &epochExec{epoch: 3}
+	e, f, dbs, _ := engineGraph(t, 2, EngineConfig{
 		MaxInFlight: 2,
 		QueueDepth:  16,
 		CacheBytes:  1 << 20,
 		Generation:  genFn,
-		Epoch:       func() uint64 { return 3 },
+		Executor:    x,
 	})
+	x.direct = direct{f, dbs}
 
 	cfg := BFSConfig{Source: 3, Dest: 17}
 	q1, err := e.BFSAs(context.Background(), "alice", cfg)
@@ -420,7 +430,7 @@ func TestEngineCacheSkipsInjectedState(t *testing.T) {
 	e, _, _, _ := engineGraph(t, 2, EngineConfig{
 		CacheBytes: 1 << 20,
 	})
-	cfg := BFSConfig{Source: 3, Dest: 17, ActiveNodes: nil}
+	cfg := BFSConfig{Source: 3, Dest: 17, Routing: Routing{ActiveNodes: nil}}
 	cfg.NewVisited = func(node cluster.NodeID) (Visited, error) { return NewMemVisited(), nil }
 	for i := 0; i < 2; i++ {
 		q, err := e.BFS(context.Background(), cfg)

@@ -30,7 +30,7 @@
 package mssg
 
 import (
-	"io"
+	"context"
 
 	"mssg/internal/cluster"
 	"mssg/internal/core"
@@ -140,11 +140,7 @@ type ComponentResult = query.ComponentResult
 // Component measures the connected component containing seed, with the
 // same policy-based routing as KHop.
 func Component(e *Engine, seed VertexID) (ComponentResult, error) {
-	kh, err := e.KHop(KHopConfig{Source: seed, K: query.ComponentMaxLevels})
-	if err != nil {
-		return ComponentResult{}, err
-	}
-	return query.ComponentOf(kh), nil
+	return query.ParallelComponent(context.Background(), e, seed, KnownMapping)
 }
 
 // NewQueryEngine builds a resident concurrent query scheduler over an
@@ -195,21 +191,5 @@ func Generate(cfg GenConfig) ([]Edge, error) { return gen.Generate(cfg) }
 
 // ComputeStats computes Table 5.1-style statistics for an edge list.
 func ComputeStats(name string, edges []Edge, numVertices int64) (GraphStats, error) {
-	return gen.ComputeStats(name, &edgeSliceReader{edges: edges}, numVertices)
+	return gen.ComputeStats(name, graph.NewSliceReader(edges), numVertices)
 }
-
-type edgeSliceReader struct {
-	edges []Edge
-	pos   int
-}
-
-func (r *edgeSliceReader) ReadEdge() (Edge, error) {
-	if r.pos >= len(r.edges) {
-		return Edge{}, errEOF
-	}
-	e := r.edges[r.pos]
-	r.pos++
-	return e, nil
-}
-
-var errEOF = io.EOF

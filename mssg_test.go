@@ -1,11 +1,15 @@
 package mssg_test
 
 import (
+	"context"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"mssg"
+	"mssg/internal/cluster"
 	"mssg/internal/ingest"
+	"mssg/internal/query"
 )
 
 func TestPublicAPIQuickstartFlow(t *testing.T) {
@@ -186,6 +190,153 @@ func TestPublicKHopAndComponentFollowPolicy(t *testing.T) {
 	}
 	if comp.Size != 81 || comp.Eccentricity != 40 {
 		t.Fatalf("component = %+v, want size 81, eccentricity 40", comp)
+	}
+}
+
+// downNodes is a health view that reports the listed nodes dead.
+type downNodes map[mssg.NodeID]bool
+
+func (d downNodes) Alive(n mssg.NodeID) bool { return !d[n] }
+
+// anyOf adapts a typed query outcome to the table's common signature.
+func anyOf[T any](v T, err error) (any, error) { return v, err }
+
+// wait adapts a submitted query to the table's common signature.
+func wait(q *mssg.Query, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	return q.Wait()
+}
+
+// TestEveryEntryPointFollowsPolicy: every way to run a query — one-shot,
+// the public helpers, the analysis registry and the resident engine —
+// gives the serial oracle's answer under every declustering policy,
+// because each takes its routing and failover from core.Engine.
+func TestEveryEntryPointFollowsPolicy(t *testing.T) {
+	// A path 0-1-...-40 plus a 40-leaf star on 0 (leaves 41..80).
+	var edges []mssg.Edge
+	for i := 0; i < 40; i++ {
+		edges = append(edges, mssg.Edge{Src: mssg.VertexID(i), Dst: mssg.VertexID(i + 1)},
+			mssg.Edge{Src: 0, Dst: mssg.VertexID(41 + i)})
+	}
+	// The oracle: serial BFS distances from 0 on the undirected graph.
+	const src, dst, k = 0, 40, 3
+	adj := map[mssg.VertexID][]mssg.VertexID{}
+	for _, e := range edges {
+		adj[e.Src] = append(adj[e.Src], e.Dst)
+		adj[e.Dst] = append(adj[e.Dst], e.Src)
+	}
+	dist := map[mssg.VertexID]int32{src: 0}
+	for fringe := []mssg.VertexID{src}; len(fringe) > 0; {
+		var next []mssg.VertexID
+		for _, u := range fringe {
+			for _, v := range adj[u] {
+				if _, seen := dist[v]; !seen {
+					dist[v] = dist[u] + 1
+					next = append(next, v)
+				}
+			}
+		}
+		fringe = next
+	}
+	var within, ecc int32
+	for _, d := range dist {
+		if d >= 1 && d <= k {
+			within++
+		}
+		if d > ecc {
+			ecc = d
+		}
+	}
+
+	rv := ingest.NewRendezvous(4, 2, 0)
+	policies := []struct {
+		name   string
+		ingest mssg.IngestConfig
+		health cluster.HealthView
+	}{
+		{"vertex-mod", mssg.IngestConfig{AddReverse: true}, nil},
+		{"edge-round-robin", mssg.IngestConfig{AddReverse: true,
+			Policy: func() mssg.IngestPolicy { return &ingest.EdgeRoundRobin{} }}, nil},
+		{"rendezvous-2way-node2-down", mssg.IngestConfig{AddReverse: true, ReplicationFactor: 2,
+			Policy: func() mssg.IngestPolicy { return rv }}, downNodes{2: true}},
+	}
+	ctx, tenant := context.Background(), query.DefaultTenantName
+	bfs := mssg.BFSConfig{Source: src, Dest: dst}
+	kh := mssg.KHopConfig{Source: src, K: k}
+	bfsParams := map[string]string{"source": strconv.Itoa(src), "dest": strconv.Itoa(dst)}
+	khParams := map[string]string{"source": strconv.Itoa(src), "k": strconv.Itoa(k)}
+	compParams := map[string]string{"source": strconv.Itoa(src)}
+	entries := []struct {
+		name string
+		run  func(eng *mssg.Engine, qe *mssg.QueryEngine) (any, error)
+	}{
+		{"Engine.BFS", func(eng *mssg.Engine, _ *mssg.QueryEngine) (any, error) { return anyOf(eng.BFS(bfs)) }},
+		{"Engine.KHop", func(eng *mssg.Engine, _ *mssg.QueryEngine) (any, error) { return anyOf(eng.KHop(kh)) }},
+		{"mssg.KHop", func(eng *mssg.Engine, _ *mssg.QueryEngine) (any, error) { return anyOf(mssg.KHop(eng, kh)) }},
+		{"mssg.Component", func(eng *mssg.Engine, _ *mssg.QueryEngine) (any, error) { return anyOf(mssg.Component(eng, src)) }},
+		{"RunAnalysis/bfs", func(eng *mssg.Engine, _ *mssg.QueryEngine) (any, error) { return eng.RunAnalysis("bfs", bfsParams) }},
+		{"RunAnalysis/khop", func(eng *mssg.Engine, _ *mssg.QueryEngine) (any, error) { return eng.RunAnalysis("khop", khParams) }},
+		{"RunAnalysis/component", func(eng *mssg.Engine, _ *mssg.QueryEngine) (any, error) {
+			return eng.RunAnalysis("component", compParams)
+		}},
+		{"qe.BFSAs", func(_ *mssg.Engine, qe *mssg.QueryEngine) (any, error) { return wait(qe.BFSAs(ctx, tenant, bfs)) }},
+		{"qe.KHopAs", func(_ *mssg.Engine, qe *mssg.QueryEngine) (any, error) { return wait(qe.KHopAs(ctx, tenant, kh)) }},
+		{"qe.SubmitAs/khop", func(_ *mssg.Engine, qe *mssg.QueryEngine) (any, error) {
+			return wait(qe.SubmitAs(ctx, tenant, "khop", khParams))
+		}},
+		{"qe.SubmitAs/component", func(_ *mssg.Engine, qe *mssg.QueryEngine) (any, error) {
+			return wait(qe.SubmitAs(ctx, tenant, "component", compParams))
+		}},
+		{"Engine.SubmitBFSAs", func(eng *mssg.Engine, qe *mssg.QueryEngine) (any, error) {
+			return wait(eng.SubmitBFSAs(ctx, qe, tenant, bfs))
+		}},
+	}
+
+	for _, pol := range policies {
+		t.Run(pol.name, func(t *testing.T) {
+			eng, err := mssg.New(mssg.Config{
+				Backends: 4, Backend: "hashmap", Ingest: pol.ingest,
+				Failover: query.FailoverOptions{Health: pol.health},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			if _, err := eng.IngestEdges(edges); err != nil {
+				t.Fatal(err)
+			}
+			qe, err := mssg.NewQueryEngine(eng, mssg.QueryEngineConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer qe.Close()
+			for _, ep := range entries {
+				out, err := ep.run(eng, qe)
+				if err != nil {
+					t.Errorf("%s: %v", ep.name, err)
+					continue
+				}
+				switch r := out.(type) {
+				case mssg.BFSResult:
+					if !r.Found || r.PathLength != dist[dst] {
+						t.Errorf("%s: found %v, length %d; oracle length %d", ep.name, r.Found, r.PathLength, dist[dst])
+					}
+				case mssg.KHopResult:
+					if r.Total != int64(within) {
+						t.Errorf("%s: %d vertices within %d hops; oracle %d", ep.name, r.Total, k, within)
+					}
+				case mssg.ComponentResult:
+					if r.Size != int64(len(dist)) || r.Eccentricity != ecc {
+						t.Errorf("%s: component %d vertices, eccentricity %d; oracle %d, %d",
+							ep.name, r.Size, r.Eccentricity, len(dist), ecc)
+					}
+				default:
+					t.Errorf("%s returned %T", ep.name, out)
+				}
+			}
+		})
 	}
 }
 
