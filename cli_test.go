@@ -6,9 +6,12 @@ package mssg_test
 // deployment story of README.md).
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -106,6 +109,76 @@ func TestCLIBenchSingleExperiment(t *testing.T) {
 	for _, want := range []string{"PubMed-S'", "Syn'", "table5.1"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("bench output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestCLIFlagSurface pins every command's flag names, read back from
+// -h: scripts and docs drive these four commands, so a flag may not be
+// renamed, dropped or added by accident.
+func TestCLIFlagSurface(t *testing.T) {
+	binDir := buildTools(t)
+	want := map[string]string{
+		"mssg-query": "allow-partial backend backends broadcast cache-mb component compress dead dest dir durability " +
+			"extvisited khop list-analyses max-inflight maxvertex metrics-addr path pipelined prefetch query-timeout " +
+			"queue-depth random seed serve source tenant-inflight tenant-queue tenants threshold verify-on-open workers",
+		"mssg-ingest": "abort-migration backend backends compress copyup deadline defrag dir drain durability " +
+			"fault-crash fault-drop fault-seed format frontends fsck in join metrics-addr placement-seed policy " +
+			"reliable replication resume-migration reverse tcp verify-on-open window",
+		"mssg-gen":   "durability format hub m metrics-addr out preset scale seed stats verify-on-open vertices",
+		"mssg-bench": "check compress deadline dir fault-seed metrics-addr prefetch queries scale v workers",
+	}
+	flagLine := regexp.MustCompile(`(?m)^  -([a-z0-9-]+)`)
+	total := 0
+	for tool, names := range want {
+		out, err := exec.Command(filepath.Join(binDir, tool), "-h").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s -h: %v\n%s", tool, err, out)
+		}
+		var got []string
+		for _, m := range flagLine.FindAllStringSubmatch(string(out), -1) {
+			got = append(got, m[1])
+		}
+		sort.Strings(got)
+		if g := strings.Join(got, " "); g != names {
+			t.Errorf("%s flags:\n got %s\nwant %s", tool, g, names)
+		}
+		total += len(got)
+	}
+	if total != 83 {
+		t.Errorf("the four commands declare %d flags, want 83", total)
+	}
+}
+
+// TestCLIRejectsBeforeOpening checks that flag combinations the engine
+// cannot honour fail before mssg-ingest creates any node database.
+func TestCLIRejectsBeforeOpening(t *testing.T) {
+	binDir := buildTools(t)
+	work := t.TempDir()
+	edgeFile := filepath.Join(work, "graph.txt")
+	run(t, filepath.Join(binDir, "mssg-gen"), "-vertices", "200", "-m", "2", "-out", edgeFile)
+	for _, c := range []struct {
+		name     string
+		args     []string
+		wantExit int
+	}{
+		{"fsck on bdb", []string{"-backend", "bdb", "-fsck"}, 2},
+		{"defrag on bdb", []string{"-backend", "bdb", "-defrag"}, 2},
+		{"fault-crash without seed", []string{"-fault-crash", "5"}, 1},
+		{"fault-drop without seed", []string{"-fault-drop", "0.05"}, 1},
+		{"fault-crash on one back-end", []string{"-backends", "1", "-fault-seed", "3", "-fault-crash", "5"}, 1},
+		{"replication over edge policy", []string{"-replication", "2", "-policy", "edge-round-robin"}, 1},
+		{"replication above back-ends", []string{"-backends", "2", "-replication", "3"}, 1},
+	} {
+		dbDir := filepath.Join(work, strings.ReplaceAll(c.name, " ", "-"))
+		args := append([]string{"-in", edgeFile, "-dir", dbDir, "-backends", "2"}, c.args...)
+		out, err := exec.Command(filepath.Join(binDir, "mssg-ingest"), args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != c.wantExit {
+			t.Errorf("%s: err = %v, want exit status %d\n%s", c.name, err, c.wantExit, out)
+		}
+		if _, err := os.Stat(filepath.Join(dbDir, "node000")); !os.IsNotExist(err) {
+			t.Errorf("%s: a node database was created before the rejection (stat: %v)\n%s", c.name, err, out)
 		}
 	}
 }

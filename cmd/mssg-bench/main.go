@@ -88,14 +88,11 @@ func main() {
 		}
 	}
 
-	if *metricsAddr != "" {
-		s, err := obs.Serve(*metricsAddr, nil, nil)
-		if err != nil {
-			fatal(err)
-		}
-		defer s.Close()
-		fmt.Fprintf(os.Stderr, "mssg-bench: metrics on http://%s/metrics\n", s.Addr())
+	obsServer, err := obs.ServeFlag("mssg-bench", *metricsAddr)
+	if err != nil {
+		fatal(err)
 	}
+	defer obsServer.Close()
 
 	var toRun []experiments.Experiment
 	if flag.NArg() == 1 && flag.Arg(0) == "all" {

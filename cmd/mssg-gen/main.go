@@ -40,14 +40,11 @@ func main() {
 		"serve live /metrics and /debug/pprof on this address while generating")
 	flag.Parse()
 
-	if *metricsAddr != "" {
-		s, err := obs.Serve(*metricsAddr, nil, nil)
-		if err != nil {
-			fatal(err)
-		}
-		defer s.Close()
-		fmt.Fprintf(os.Stderr, "mssg-gen: metrics on http://%s/metrics\n", s.Addr())
+	obsServer, err := obs.ServeFlag("mssg-gen", *metricsAddr)
+	if err != nil {
+		fatal(err)
 	}
+	defer obsServer.Close()
 
 	var cfg gen.Config
 	if *preset != "" {
@@ -83,14 +80,9 @@ func main() {
 		sink = f
 	}
 
-	var w graph.EdgeWriter
-	switch *format {
-	case "ascii":
-		w = graph.NewASCIIEdgeWriter(sink)
-	case "binary":
-		w = graph.NewBinaryEdgeWriter(sink)
-	default:
-		fatal(fmt.Errorf("unknown format %q (want ascii or binary)", *format))
+	w, err := graph.NewEdgeWriter(*format, sink)
+	if err != nil {
+		fatal(err)
 	}
 
 	g, err := gen.NewGenerator(cfg)
@@ -145,7 +137,7 @@ func main() {
 	}
 
 	if *stats {
-		s := statsFromDegrees(cfg.Name, deg, edges)
+		s := gen.StatsFromDegrees(cfg.Name, deg, edges)
 		fmt.Fprintln(os.Stderr, gen.StatsHeader)
 		fmt.Fprintln(os.Stderr, s.String())
 	}
@@ -159,12 +151,9 @@ func verifyOutput(path, format string, want int64) error {
 		return err
 	}
 	defer f.Close()
-	var r graph.EdgeReader
-	switch format {
-	case "ascii":
-		r = graph.NewASCIIEdgeReader(f)
-	case "binary":
-		r = graph.NewBinaryEdgeReader(f)
+	r, err := graph.NewEdgeReader(format, f)
+	if err != nil {
+		return err
 	}
 	var got int64
 	for {
@@ -179,30 +168,6 @@ func verifyOutput(path, format string, want int64) error {
 		return fmt.Errorf("verify: re-parsed %d edges, wrote %d", got, want)
 	}
 	return nil
-}
-
-func statsFromDegrees(name string, deg []int64, edges int64) gen.Stats {
-	s := gen.Stats{Name: name, UndEdges: edges, MinDegree: -1}
-	for v, d := range deg {
-		if d == 0 {
-			continue
-		}
-		s.Vertices++
-		if s.MinDegree < 0 || d < s.MinDegree {
-			s.MinDegree = d
-		}
-		if d > s.MaxDegree {
-			s.MaxDegree = d
-			s.MaxDegreeVertex = graph.VertexID(v)
-		}
-	}
-	if s.MinDegree < 0 {
-		s.MinDegree = 0
-	}
-	if s.Vertices > 0 {
-		s.AvgDegree = 2 * float64(edges) / float64(s.Vertices)
-	}
-	return s
 }
 
 func fatal(err error) {

@@ -18,7 +18,6 @@ import (
 	"mssg/internal/cluster"
 	"mssg/internal/core"
 	"mssg/internal/graph"
-	"mssg/internal/graphdb"
 	_ "mssg/internal/graphdb/all"
 	"mssg/internal/graphdb/grdb"
 	"mssg/internal/ingest"
@@ -26,11 +25,9 @@ import (
 )
 
 func main() {
+	engineFlags := core.BindFlags(flag.CommandLine)
 	in := flag.String("in", "", "input edge list (required)")
 	format := flag.String("format", "ascii", "input format: ascii or binary")
-	dir := flag.String("dir", "", "database working directory (required)")
-	backend := flag.String("backend", "grdb", "GraphDB backend: array, hashmap, mysql, bdb, stream, grdb")
-	backends := flag.Int("backends", 8, "number of back-end storage nodes")
 	frontends := flag.Int("frontends", 1, "number of front-end ingestion filters")
 	policy := flag.String("policy", "vertex-mod", "declustering policy: vertex-mod, edge-round-robin, or rendezvous")
 	replication := flag.Int("replication", 1,
@@ -49,9 +46,9 @@ func main() {
 	tcp := flag.Bool("tcp", false, "use the loopback-TCP fabric instead of in-process")
 	faultSeed := flag.Int64("fault-seed", 0,
 		"non-zero: inject deterministic faults (drops, duplicates, delays) seeded with this value")
-	faultDrop := flag.Float64("fault-drop", 0.01, "fraction of messages dropped when -fault-seed is set")
+	faultDrop := flag.Float64("fault-drop", 0.01, "fraction of messages dropped (requires -fault-seed)")
 	faultCrash := flag.Int64("fault-crash", 0,
-		"non-zero: crash back-end node 1 after this many outgoing sends (requires -fault-seed)")
+		"non-zero: crash back-end node 1 after this many outgoing sends (requires -fault-seed and -backends >= 2)")
 	reliable := flag.Bool("reliable", false,
 		"layer acked, deduplicated, checksummed delivery over the fabric (implied by -fault-seed)")
 	deadline := flag.Duration("deadline", 0,
@@ -59,15 +56,9 @@ func main() {
 	defrag := flag.Bool("defrag", false, "run grDB chain defragmentation after ingestion (grdb backend only)")
 	fsck := flag.Bool("fsck", false, "verify grDB storage invariants after ingestion (grdb backend only)")
 	copyUp := flag.Bool("copyup", false, "use grDB's copy-up-on-overflow strategy instead of linking")
-	compress := flag.Bool("compress", false,
-		"store grDB blocks delta-varint compressed (query later with the same -compress flag)")
-	durability := flag.String("durability", "none",
-		"crash safety: none (page-cache only) or full (WAL + checksums + atomic checkpoints; back-ends also checkpoint their ingest position for exactly-once resume)")
-	verifyOnOpen := flag.Bool("verify-on-open", false,
-		"run the backend's structural consistency check after recovery when opening each database")
-	metricsAddr := flag.String("metrics-addr", "",
-		"serve live /metrics, /trace and /debug/pprof on this address (e.g. :8080); also enables per-op backend latency histograms")
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	elasticOps := 0
 	for _, on := range []bool{*join >= 0, *drain >= 0, *resumeMig, *abortMig} {
@@ -79,7 +70,7 @@ func main() {
 		fatal(fmt.Errorf("-join, -drain, -resume-migration and -abort-migration are mutually exclusive"))
 	}
 	elastic := elasticOps == 1
-	if *dir == "" || (!elastic && *in == "") {
+	if engineFlags.Dir == "" || (!elastic && *in == "") {
 		fmt.Fprintln(os.Stderr, "mssg-ingest: -in and -dir are required (elastic modes need only -dir)")
 		flag.Usage()
 		os.Exit(2)
@@ -87,118 +78,70 @@ func main() {
 	if elastic && *in != "" {
 		fatal(fmt.Errorf("-in is not used by elastic operations: they move data already ingested under -dir"))
 	}
+	if (*defrag || *fsck) && engineFlags.Backend != "grdb" {
+		fmt.Fprintf(os.Stderr, "mssg-ingest: -defrag and -fsck need -backend grdb, not %q\n", engineFlags.Backend)
+		os.Exit(2)
+	}
 	if _, err := ingest.PolicyByName(*policy); err != nil {
 		fatal(err)
-	}
-	// Replication rides on rendezvous placement: it is the only policy
-	// with a deterministic top-k replica directory every node can derive
-	// locally, which is what query-time failover routes by. -replication
-	// upgrades the default policy; an explicitly different one is a
-	// contradiction, not something to silently override.
-	rendezvous := *policy == "rendezvous" || *policy == "hrw"
-	if *replication > 1 {
-		if !rendezvous && *policy != "vertex-mod" {
-			fatal(fmt.Errorf("-replication %d requires the rendezvous policy, not %q", *replication, *policy))
-		}
-		if *replication > *backends {
-			fatal(fmt.Errorf("-replication %d exceeds -backends %d", *replication, *backends))
-		}
-		rendezvous = true
 	}
 	if *replication < 1 {
 		fatal(fmt.Errorf("-replication must be >= 1, got %d", *replication))
 	}
-	durLevel, err := graphdb.ParseDurability(*durability)
-	if err != nil {
-		fatal(err)
+	// -replication upgrades the default policy to rendezvous; core.Config
+	// rejects any other policy with replication.
+	rendezvous := *policy == "rendezvous" || *policy == "hrw" || (*replication > 1 && *policy == "vertex-mod")
+
+	cfg := engineFlags.Config
+	cfg.FrontEnds = *frontends
+	cfg.DBOptions.CopyUpOnOverflow = *copyUp
+	cfg.Ingest = ingest.Config{
+		WindowEdges:       *window,
+		AddReverse:        *reverse,
+		ReplicationFactor: *replication,
+		Policy: func() ingest.Policy {
+			if rendezvous {
+				return ingest.NewRendezvous(cfg.Backends, *replication, *placementSeed)
+			}
+			p, _ := ingest.PolicyByName(*policy)
+			return p
+		},
+	}
+	if *tcp {
+		cfg.Fabric = core.TCP
+	}
+	cfg.Reliable = *reliable
+	cfg.IngestDeadline = *deadline
+	if *faultSeed != 0 || *faultCrash > 0 || set["fault-drop"] {
+		plan := cluster.SoakPlan(*faultSeed, *faultDrop)
+		if *faultCrash > 0 {
+			plan.Crashes = []cluster.Crash{{Node: 1, AfterSends: *faultCrash}}
+		}
+		cfg.Fault = &plan
+		cfg.Reliable = true
 	}
 
 	// Elastic operations route by the durable placement manifest, not by
 	// flags: the holder carries the committed epoch, and the fabric must
 	// be wide enough to host every current member plus any join target.
-	var holder *ingest.PlacementHolder
 	if elastic {
-		h, ok, err := ingest.OpenPlacementHolder(*dir)
+		h, ok, err := ingest.OpenPlacementHolder(cfg.Dir)
 		if err != nil {
 			fatal(fmt.Errorf("loading placement manifest: %w", err))
 		}
 		if !ok {
-			fatal(fmt.Errorf("no placement manifest in %s: elastic operations need a directory ingested with -policy rendezvous or -replication > 1", *dir))
+			fatal(fmt.Errorf("no placement manifest in %s: elastic operations need a directory ingested with -policy rendezvous or -replication > 1", cfg.Dir))
 		}
-		holder = h
-		need := holder.Placement().Backends
-		if *join >= 0 && *join+1 > need {
-			need = *join + 1
-		}
-		backendsSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "backends" {
-				backendsSet = true
-			}
-		})
-		switch {
-		case !backendsSet:
-			*backends = need
-		case *backends < need:
-			fatal(fmt.Errorf("-backends %d is too small: the operation spans %d back-ends", *backends, need))
+		cfg.Placement = h
+		if !set["backends"] {
+			cfg.Backends = max(h.Placement().Backends, *join+1)
 		}
 		fmt.Fprintf(os.Stderr, "mssg-ingest: placement epoch %d, members %v over %d back-ends\n",
-			holder.Epoch(), holder.Placement().Members(), holder.Placement().Backends)
+			h.Epoch(), h.Placement().Members(), h.Placement().Backends)
 	}
-
-	fabric := core.InProc
-	if *tcp {
-		fabric = core.TCP
-	}
-	cfg := core.Config{
-		Backends:  *backends,
-		FrontEnds: *frontends,
-		Backend:   *backend,
-		Dir:       *dir,
-		Fabric:    fabric,
-		DBOptions: graphdb.Options{
-			CopyUpOnOverflow: *copyUp,
-			Compress:         *compress,
-			Durability:       durLevel,
-			VerifyOnOpen:     *verifyOnOpen,
-		},
-		Ingest: ingest.Config{
-			WindowEdges:       *window,
-			AddReverse:        *reverse,
-			ReplicationFactor: *replication,
-			Policy: func() ingest.Policy {
-				if rendezvous {
-					return ingest.NewRendezvous(*backends, *replication, *placementSeed)
-				}
-				p, _ := ingest.PolicyByName(*policy)
-				return p
-			},
-		},
-		Reliable:       *reliable,
-		IngestDeadline: *deadline,
-		Placement:      holder,
-	}
-	if *faultSeed != 0 {
-		plan := &cluster.Plan{
-			Seed:     *faultSeed,
-			DropProb: *faultDrop, DupProb: *faultDrop / 5, DelayProb: *faultDrop,
-			MaxDelay: 200 * time.Microsecond,
-		}
-		if *faultCrash > 0 && *backends > 1 {
-			plan.Crashes = []cluster.Crash{{Node: 1, AfterSends: *faultCrash}}
-		}
-		cfg.Fault = plan
-		cfg.Reliable = true
-	}
-	var obsServer *obs.Server
-	if *metricsAddr != "" {
-		cfg.Metrics = obs.Default()
-		s, err := obs.Serve(*metricsAddr, nil, nil)
-		if err != nil {
-			fatal(err)
-		}
-		obsServer = s
-		fmt.Fprintf(os.Stderr, "mssg-ingest: metrics on http://%s/metrics\n", s.Addr())
+	obsServer, err := obs.ServeFlag("mssg-ingest", engineFlags.MetricsAddr)
+	if err != nil {
+		fatal(err)
 	}
 	defer obsServer.Close()
 	eng, err := core.New(cfg)
@@ -226,10 +169,7 @@ func main() {
 	})
 
 	if elastic {
-		runElastic(eng, holder, *join, *drain, *resumeMig, *abortMig, ingest.MigrationConfig{
-			WindowEdges: *window,
-			Durable:     durLevel >= graphdb.DurabilityFull,
-		})
+		runElastic(eng, cfg.Placement, *join, *drain, *resumeMig, *abortMig, ingest.MigrationConfig{WindowEdges: *window})
 		return
 	}
 
@@ -241,15 +181,10 @@ func main() {
 		if err != nil {
 			return nil, err
 		}
-		var r graph.EdgeReader
-		switch *format {
-		case "ascii":
-			r = graph.NewASCIIEdgeReader(f)
-		case "binary":
-			r = graph.NewBinaryEdgeReader(f)
-		default:
+		r, err := graph.NewEdgeReader(*format, f)
+		if err != nil {
 			f.Close()
-			return nil, fmt.Errorf("unknown format %q", *format)
+			return nil, err
 		}
 		return &strideReader{r: r, skip: *frontends, offset: copy}, nil
 	})
@@ -263,10 +198,10 @@ func main() {
 	// flags. Written after the data so a failed ingest leaves no manifest.
 	if rendezvous {
 		pl := ingest.Placement{
-			Policy: "rendezvous", Backends: *backends,
+			Policy: "rendezvous", Backends: cfg.Backends,
 			Replication: *replication, Seed: *placementSeed,
 		}
-		if err := ingest.WritePlacementFile(*dir, pl); err != nil {
+		if err := ingest.WritePlacementFile(cfg.Dir, pl); err != nil {
 			fatal(fmt.Errorf("writing placement manifest: %w", err))
 		}
 	}
@@ -277,7 +212,7 @@ func main() {
 	}
 	fmt.Printf("ingested %d edges (%d stored records, %d blocks) into %d %s back-ends%s in %s (%.0f edges/s)\n",
 		stats.EdgesIn.Load(), stats.EdgesStored.Load(), stats.Blocks.Load(),
-		*backends, *backend, replNote, elapsed.Round(time.Millisecond),
+		cfg.Backends, cfg.Backend, replNote, elapsed.Round(time.Millisecond),
 		float64(stats.EdgesIn.Load())/elapsed.Seconds())
 	if r, d := stats.Retries.Load(), stats.DupBlocks.Load(); r > 0 || d > 0 {
 		fmt.Printf("fault recovery: %d window re-ships, %d duplicate windows discarded\n", r, d)
@@ -287,11 +222,7 @@ func main() {
 		start := time.Now()
 		var rewritten int64
 		for i, db := range eng.Databases() {
-			g, ok := db.(*grdb.DB)
-			if !ok {
-				fatal(fmt.Errorf("-defrag requires the grdb backend"))
-			}
-			n, err := g.Defragment()
+			n, err := db.(*grdb.DB).Defragment()
 			if err != nil {
 				fatal(fmt.Errorf("defragmenting node %d: %w", i, err))
 			}
@@ -303,11 +234,7 @@ func main() {
 		var vertices, edgeCount int64
 		maxChain := 0
 		for i, db := range eng.Databases() {
-			g, ok := db.(*grdb.DB)
-			if !ok {
-				fatal(fmt.Errorf("-fsck requires the grdb backend"))
-			}
-			rep, err := g.Check()
+			rep, err := db.(*grdb.DB).Check()
 			if err != nil {
 				fatal(fmt.Errorf("fsck node %d: %w", i, err))
 			}

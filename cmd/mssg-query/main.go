@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,7 +35,6 @@ import (
 	"mssg/internal/core"
 	"mssg/internal/gen"
 	"mssg/internal/graph"
-	"mssg/internal/graphdb"
 	_ "mssg/internal/graphdb/all"
 	"mssg/internal/ingest"
 	"mssg/internal/obs"
@@ -47,9 +47,7 @@ import (
 const exitPartial = 3
 
 func main() {
-	dir := flag.String("dir", "", "database working directory (required)")
-	backend := flag.String("backend", "grdb", "GraphDB backend used at ingestion")
-	backends := flag.Int("backends", 8, "number of back-end nodes used at ingestion")
+	engineFlags := core.BindFlags(flag.CommandLine)
 	source := flag.Int64("source", -1, "source vertex")
 	dest := flag.Int64("dest", -1, "destination vertex")
 	random := flag.Int("random", 0, "instead of -source/-dest, run this many random queries")
@@ -79,14 +77,6 @@ func main() {
 		"comma-separated back-end ids to treat as crashed: their databases are never read, so queries must fail over to surviving replicas (for failover drills)")
 	allowPartial := flag.Bool("allow-partial", false,
 		"when every replica of a required shard is dead, degrade to a best-effort answer with an explicit coverage fraction instead of failing (partial results exit with status 3)")
-	compress := flag.Bool("compress", false,
-		"the databases were ingested with delta-varint block compression (grDB; must match the ingest setting)")
-	durability := flag.String("durability", "none",
-		"crash safety mode the database was ingested with: none or full (must match, checksum sidecars are only kept under full)")
-	verifyOnOpen := flag.Bool("verify-on-open", false,
-		"run the backend's structural consistency check after recovery when opening each database")
-	metricsAddr := flag.String("metrics-addr", "",
-		"serve live /metrics, /trace and /debug/pprof on this address (e.g. :8080); also enables per-op backend latency histograms")
 	flag.Parse()
 
 	if *listAnalyses {
@@ -97,24 +87,12 @@ func main() {
 		return
 	}
 
-	if *dir == "" {
+	if engineFlags.Dir == "" {
 		fmt.Fprintln(os.Stderr, "mssg-query: -dir is required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	durLevel, err := graphdb.ParseDurability(*durability)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := core.Config{
-		Backends: *backends,
-		Backend:  *backend,
-		Dir:      *dir,
-		DBOptions: graphdb.Options{
-			Durability: durLevel, VerifyOnOpen: *verifyOnOpen,
-			Compress: *compress,
-		},
-	}
+	cfg := engineFlags.Config
 	cfg.AllowPartial = *allowPartial
 	// A placement manifest (written by a rendezvous/replicated ingest)
 	// reconstructs the exact ingest-time mapping: queries route fringes by
@@ -122,16 +100,11 @@ func main() {
 	// roster, and fail over to replicas when a back-end dies. The holder
 	// keeps the snapshot reloadable, so a long-lived -serve process picks
 	// up a migration committed by another process.
-	var holder *ingest.PlacementHolder
-	if h, ok, err := ingest.OpenPlacementHolder(*dir); err != nil {
+	if h, ok, err := ingest.OpenPlacementHolder(cfg.Dir); err != nil {
 		fatal(err)
 	} else if ok {
 		pl := h.Placement()
-		if pl.Backends > *backends {
-			fatal(fmt.Errorf("placement manifest spans %d back-ends but -backends is %d", pl.Backends, *backends))
-		}
-		holder = h
-		cfg.Placement = holder
+		cfg.Placement = h
 		fmt.Fprintf(os.Stderr, "mssg-query: placement: %s over %d back-ends, %d-way replicated, epoch %d, members %v\n",
 			pl.Policy, pl.Backends, pl.Replication, pl.Epoch, pl.Members())
 		if p := h.Manifest().Pending; p != nil {
@@ -139,15 +112,9 @@ func main() {
 				p.Epoch, pl.Epoch)
 		}
 	}
-	var obsServer *obs.Server
-	if *metricsAddr != "" {
-		cfg.Metrics = obs.Default()
-		s, err := obs.Serve(*metricsAddr, nil, nil)
-		if err != nil {
-			fatal(err)
-		}
-		obsServer = s
-		fmt.Fprintf(os.Stderr, "mssg-query: metrics on http://%s/metrics\n", s.Addr())
+	obsServer, err := obs.ServeFlag("mssg-query", engineFlags.MetricsAddr)
+	if err != nil {
+		fatal(err)
 	}
 	defer obsServer.Close()
 	eng, err := core.New(cfg)
@@ -176,27 +143,16 @@ func main() {
 	// unknown id is collected and the run fails fast with the full list.
 	var activeNodes []cluster.NodeID
 	if *deadList != "" {
-		members := make([]cluster.NodeID, 0, *backends)
-		if holder != nil {
-			members = holder.Placement().Members()
-		} else {
-			for i := 0; i < *backends; i++ {
-				members = append(members, cluster.NodeID(i))
-			}
+		pl := ingest.Placement{Backends: cfg.Backends}
+		if cfg.Placement != nil {
+			pl = cfg.Placement.Placement()
 		}
-		isMember := func(n int) bool {
-			for _, m := range members {
-				if int(m) == n {
-					return true
-				}
-			}
-			return false
-		}
+		members := pl.Members()
 		dead := map[int]bool{}
 		var unknown []string
 		for _, s := range strings.Split(*deadList, ",") {
 			s = strings.TrimSpace(s)
-			if n, err := strconv.Atoi(s); err == nil && isMember(n) {
+			if n, err := strconv.Atoi(s); err == nil && slices.Contains(members, cluster.NodeID(n)) {
 				dead[n] = true
 			} else {
 				unknown = append(unknown, fmt.Sprintf("%q", s))
@@ -228,7 +184,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		runServe(eng, holder, query.EngineConfig{
+		runServe(eng, cfg.Placement, query.EngineConfig{
 			MaxInFlight:     *maxInflight,
 			QueueDepth:      *queueDepth,
 			DefaultDeadline: *queryTimeout,

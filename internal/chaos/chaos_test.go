@@ -157,7 +157,6 @@ func TestChaosIngestCrashFailsFast(t *testing.T) {
 					Reliable:        true,
 					ReliableOptions: fastReliable(),
 					IngestDeadline:  60 * time.Second,
-					IngestFailFast:  true,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -51,6 +51,13 @@ type Crash struct {
 	AfterSends int64
 }
 
+// SoakPlan is the lossy-fabric soak the commands run under -fault-seed:
+// a fraction p of remote messages dropped, p/5 duplicated and p delayed
+// by up to 200µs.
+func SoakPlan(seed int64, p float64) Plan {
+	return Plan{Seed: seed, DropProb: p, DupProb: p / 5, DelayProb: p, MaxDelay: 200 * time.Microsecond}
+}
+
 func (p *Plan) maxDelay() time.Duration {
 	if p.MaxDelay <= 0 {
 		return 2 * time.Millisecond

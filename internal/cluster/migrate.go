@@ -11,8 +11,9 @@
 // a pass ends when every peer has received an EOS frame from every other
 // peer. Passes are separated by an all-reduce gate that doubles as the
 // abort broadcast: the coordinator (lowest participant) runs the caller's
-// phase hook and contributes 0 to the gate when the hook vetoes, so all
-// nodes abandon the migration at the same boundary. Running over the
+// phase hook and contributes 0 to the gate when the hook vetoes, and a
+// participant whose pass failed contributes 0 too, so all nodes abandon
+// the migration at the same boundary. Running over the
 // reliable fabric gives the copy stream exactly-once windows (seq/ack/
 // dedup) and turns a mid-migration participant death into a prompt
 // NodeDownError instead of a hang.
@@ -118,9 +119,6 @@ func RunMigration(f Fabric, peer func(n NodeID) MigratePeer, opt MigrateOptions)
 		return fmt.Errorf("cluster: migration needs at least one participant")
 	}
 	for i, n := range parts {
-		if err := Validate(n, f.Nodes()); err != nil {
-			return err
-		}
 		if i > 0 && n <= parts[i-1] {
 			return fmt.Errorf("cluster: migration participants not ascending at %d", n)
 		}
@@ -136,19 +134,27 @@ func RunMigration(f Fabric, peer func(n NodeID) MigratePeer, opt MigrateOptions)
 	return RunOn(f, parts, func(ep Endpoint) error {
 		p := peer(ep.ID())
 		coll := NewCollective(ep, chUp, chDn).WithParticipants(parts)
+		// A pass error is voted 0 at the next gate, not returned at once,
+		// so no peer is left waiting on this node.
+		var failed error
 		for pass := PassCopy; pass <= numPasses; pass++ {
 			// Phase gate: the coordinator's hook result is folded into an
 			// all-reduce, so every node learns about an abort at the same
 			// boundary and none starts the next pass.
 			vote := int64(1)
-			if ep.ID() == coordinator && opt.Hook != nil {
+			if failed != nil {
+				vote = 0
+			} else if ep.ID() == coordinator && opt.Hook != nil {
 				if err := opt.Hook(pass); err != nil {
 					vote = 0
 				}
 			}
 			cont, err := coll.AllReduceMin(vote)
 			if err != nil {
-				return fmt.Errorf("cluster: migration %s gate on node %d: %w", pass, ep.ID(), err)
+				return errors.Join(failed, fmt.Errorf("cluster: migration %s gate on node %d: %w", pass, ep.ID(), err))
+			}
+			if failed != nil {
+				return failed
 			}
 			if cont == 0 {
 				return fmt.Errorf("%w (before %s)", ErrMigrationAborted, pass)
@@ -156,11 +162,10 @@ func RunMigration(f Fabric, peer func(n NodeID) MigratePeer, opt MigrateOptions)
 			if pass == numPasses {
 				break
 			}
-			if err := runPass(ep, p, pass, parts, chData); err != nil {
-				return err
-			}
-			if err := p.PassDone(pass); err != nil {
-				return fmt.Errorf("cluster: migration %s finalize on node %d: %w", pass, ep.ID(), err)
+			if failed = runPass(ep, p, pass, parts, chData); failed == nil {
+				if err := p.PassDone(pass); err != nil {
+					failed = fmt.Errorf("cluster: migration %s finalize on node %d: %w", pass, ep.ID(), err)
+				}
 			}
 		}
 		ok, detail := p.Verdict()
@@ -187,61 +192,60 @@ func RunMigration(f Fabric, peer func(n NodeID) MigratePeer, opt MigrateOptions)
 // and a receiver loop that applies inbound frames until it has seen EOS
 // from every other participant. Per-(sender, channel) FIFO delivery —
 // guaranteed by both the in-process and the reliable fabric — makes the
-// trailing EOS a correct end-of-stream marker.
+// trailing EOS a correct end-of-stream marker. A failed Ship still sends
+// its EOS and a failed apply keeps draining, so the pass ends everywhere.
 func runPass(ep Endpoint, p MigratePeer, pass MigratePass, parts []NodeID, chData ChannelID) error {
 	self := ep.ID()
 	shipErr := make(chan error, 1)
 	go func() {
-		shipErr <- func() error {
-			emit := func(dest NodeID, payload []byte) error {
-				if dest == self {
-					// A node can be source and destination at once; local
-					// payloads skip the fabric.
-					return p.Receive(pass, self, payload)
-				}
-				frame := make([]byte, 0, 2+len(payload))
-				frame = append(frame, frameData, byte(pass))
-				frame = append(frame, payload...)
-				return ep.Send(dest, chData, frame)
+		emit := func(dest NodeID, payload []byte) error {
+			if dest == self {
+				// A node can be source and destination at once; local
+				// payloads skip the fabric.
+				return p.Receive(pass, self, payload)
 			}
-			if err := p.Ship(pass, emit); err != nil {
-				return fmt.Errorf("cluster: migration %s ship on node %d: %w", pass, self, err)
+			frame := make([]byte, 0, 2+len(payload))
+			frame = append(frame, frameData, byte(pass))
+			frame = append(frame, payload...)
+			return ep.Send(dest, chData, frame)
+		}
+		var err error
+		if e := p.Ship(pass, emit); e != nil {
+			err = fmt.Errorf("cluster: migration %s ship on node %d: %w", pass, self, e)
+		}
+		for _, n := range parts {
+			if n == self {
+				continue
 			}
-			for _, n := range parts {
-				if n == self {
-					continue
-				}
-				if err := ep.Send(n, chData, []byte{frameEOS, byte(pass)}); err != nil {
-					return fmt.Errorf("cluster: migration %s eos %d->%d: %w", pass, self, n, err)
-				}
+			if e := ep.Send(n, chData, []byte{frameEOS, byte(pass)}); e != nil {
+				err = errors.Join(err, fmt.Errorf("cluster: migration %s eos %d->%d: %w", pass, self, n, e))
 			}
-			return nil
-		}()
+		}
+		shipErr <- err
 	}()
 
 	var recvErr error
 	for eos := 0; eos < len(parts)-1; {
 		msg, err := ep.Recv(chData)
 		if err != nil {
-			recvErr = fmt.Errorf("cluster: migration %s recv on node %d: %w", pass, self, err)
+			recvErr = errors.Join(recvErr, fmt.Errorf("cluster: migration %s recv on node %d: %w", pass, self, err))
 			break
 		}
-		if len(msg.Payload) < 2 || MigratePass(msg.Payload[1]) != pass {
-			recvErr = fmt.Errorf("cluster: migration %s recv on node %d: bad frame from %d", pass, self, msg.From)
-			break
-		}
-		switch msg.Payload[0] {
-		case frameEOS:
+		var bad error
+		switch {
+		case len(msg.Payload) < 2 || MigratePass(msg.Payload[1]) != pass:
+			bad = fmt.Errorf("cluster: migration %s recv on node %d: bad frame from %d", pass, self, msg.From)
+		case msg.Payload[0] == frameEOS:
 			eos++
-		case frameData:
+		case msg.Payload[0] == frameData:
 			if err := p.Receive(pass, msg.From, msg.Payload[2:]); err != nil {
-				recvErr = fmt.Errorf("cluster: migration %s apply on node %d: %w", pass, self, err)
+				bad = fmt.Errorf("cluster: migration %s apply on node %d: %w", pass, self, err)
 			}
 		default:
-			recvErr = fmt.Errorf("cluster: migration %s recv on node %d: unknown frame kind %d", pass, self, msg.Payload[0])
+			bad = fmt.Errorf("cluster: migration %s recv on node %d: unknown frame kind %d", pass, self, msg.Payload[0])
 		}
-		if recvErr != nil {
-			break
+		if recvErr == nil {
+			recvErr = bad
 		}
 	}
 	return errors.Join(<-shipErr, recvErr)

@@ -3,8 +3,11 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // kvPeer is a toy MigratePeer: each node owns a set of keys and the
@@ -197,6 +200,64 @@ func TestRunMigrationSubsetParticipants(t *testing.T) {
 	}
 	if !peers[4].got['x'] {
 		t.Fatal("key did not move to node 4")
+	}
+}
+
+// shipFailPeer is a kvPeer whose Ship fails in one pass, as a source
+// without a vertex scan does in the copy pass.
+type shipFailPeer struct {
+	*kvPeer
+	failIn MigratePass
+}
+
+func (p shipFailPeer) Ship(pass MigratePass, emit func(NodeID, []byte) error) error {
+	if pass == p.failIn {
+		return errors.New("injected ship failure")
+	}
+	return p.kvPeer.Ship(pass, emit)
+}
+
+// A failed Ship on one node must end the migration with an error on
+// every participant at the next gate, not leave the others blocked
+// waiting for its end-of-stream frames.
+func TestRunMigrationShipFailureDoesNotHang(t *testing.T) {
+	before := runtime.NumGoroutine()
+	f := NewInProc(4, 0)
+	peers := map[NodeID]MigratePeer{
+		0: newKVPeer(0, map[byte]NodeID{'a': 2}),
+		1: shipFailPeer{newKVPeer(1, map[byte]NodeID{'b': 3}), PassCopy},
+		2: newKVPeer(2, nil),
+		3: newKVPeer(3, nil),
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- RunMigration(f, func(n NodeID) MigratePeer { return peers[n] }, MigrateOptions{})
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !errors.Is(err, ErrMigrationAborted) {
+			t.Fatalf("err = %v, want the ship failure plus the peers' aborts", err)
+		}
+		for _, n := range []int{0, 1, 2, 3} {
+			if want := fmt.Sprintf("node %d:", n); !strings.Contains(err.Error(), want) {
+				t.Errorf("err lacks %q: %v", want, err)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunMigration hung after a failed Ship")
+	}
+	for _, p := range peers {
+		if kv, ok := p.(*kvPeer); ok && len(kv.passes) > 1 {
+			t.Errorf("node %d finalized %v, want nothing past copy", kv.self, kv.passes)
+		}
+	}
+	f.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines: %d before, %d after the migration", before, n)
 	}
 }
 

@@ -29,77 +29,6 @@ import (
 	"mssg/internal/query"
 )
 
-// FabricKind selects the message transport.
-type FabricKind int
-
-const (
-	// InProc connects node goroutines with in-process mailboxes.
-	InProc FabricKind = iota
-	// TCP connects node goroutines over loopback TCP.
-	TCP
-)
-
-// Config parameterizes an Engine.
-type Config struct {
-	// Backends is the number of back-end storage nodes (the fabric size).
-	Backends int
-	// FrontEnds is the number of ingest filter copies.
-	FrontEnds int
-	// Backend names the GraphDB implementation ("array", "hashmap",
-	// "mysql", "bdb", "stream", "grdb").
-	Backend string
-	// Dir is the root working directory; node i stores under
-	// Dir/nodeNNN. Required for out-of-core backends.
-	Dir string
-	// DBOptions tunes the backend (cache budget, grDB levels, ...). The
-	// Dir field inside is overwritten per node.
-	DBOptions graphdb.Options
-	// Ingest configures windows/policy/reversal. FrontEnds/Backends
-	// inside it are overwritten from this Config.
-	Ingest ingest.Config
-	// Fabric selects the transport.
-	Fabric FabricKind
-	// MailboxBuffer bounds per-channel queued messages (0 = default).
-	MailboxBuffer int
-	// Fault, when non-nil, wraps the fabric in a deterministic
-	// fault-injection layer driven by this plan (drops, duplicates,
-	// corruption, delays, scripted crashes).
-	Fault *cluster.Plan
-	// Reliable layers acked, deduplicated, checksummed delivery over the
-	// (possibly faulty) fabric, with heartbeat-based failure detection.
-	Reliable bool
-	// ReliableOptions tunes the reliable layer; zero value uses defaults.
-	ReliableOptions cluster.ReliableOptions
-	// IngestDeadline bounds each ingestion run; 0 means none. Implies
-	// fail-fast supervision so a dead back-end aborts the run instead of
-	// wedging it.
-	IngestDeadline time.Duration
-	// IngestFailFast aborts an ingestion run as soon as any filter copy
-	// fails, even without a deadline.
-	IngestFailFast bool
-	// Metrics, when non-nil, enables per-operation latency histograms in
-	// every back-end (graphdb.<backend>.*_ns) and block-cache counter
-	// mirrors (cache.<backend>.*). It is copied into DBOptions for each
-	// node. The always-on service metrics (cluster, datacutter, ingest,
-	// query) live in obs.Default() regardless of this field.
-	Metrics *obs.Registry
-	// AllowPartial degrades queries to best-effort results with an
-	// explicit Coverage < 1 when every replica of a required shard is
-	// unreachable, instead of failing with query.ErrPartialCoverage.
-	AllowPartial bool
-	// Failover tunes the query-time retry loop used when the
-	// declustering policy replicates (ReplicationFactor > 1). The zero
-	// value selects the defaults documented on query.FailoverOptions.
-	Failover query.FailoverOptions
-	// Placement, when non-nil, is the elastic routing authority: every
-	// ingest window and query resolves its policy through the holder, so
-	// a live migration's epoch commit flips all routing in one atomic
-	// step. Overrides Ingest.Policy. The committed placement's node-ID
-	// space must fit within Backends (spare nodes idle with empty
-	// databases until a Join targets them).
-	Placement *ingest.PlacementHolder
-}
-
 // Engine is a running MSSG instance.
 type Engine struct {
 	cfg    Config
@@ -121,8 +50,8 @@ type Engine struct {
 
 // New builds the fabric and opens one GraphDB instance per back-end node.
 func New(cfg Config) (*Engine, error) {
-	if cfg.Backends < 1 {
-		return nil, fmt.Errorf("core: need at least 1 back-end, got %d", cfg.Backends)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.FrontEnds < 1 {
 		cfg.FrontEnds = 1
@@ -131,9 +60,6 @@ func New(cfg Config) (*Engine, error) {
 		cfg.Backend = "grdb"
 	}
 	if cfg.Placement != nil {
-		if b := cfg.Placement.Placement().Backends; b > cfg.Backends {
-			return nil, fmt.Errorf("core: placement spans %d back-ends, engine has %d", b, cfg.Backends)
-		}
 		cfg.Ingest.Policy = cfg.Placement.Policy
 	}
 
@@ -147,8 +73,6 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		fabric = f
-	default:
-		return nil, fmt.Errorf("core: unknown fabric kind %d", cfg.Fabric)
 	}
 	// Layering order matters: faults perturb the raw transport, and the
 	// reliable layer (when enabled) sits above them, masking what it can
@@ -163,9 +87,6 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{cfg: cfg, fabric: fabric}
 	for i := 0; i < cfg.Backends; i++ {
 		opts := cfg.DBOptions
-		if opts.Metrics == nil {
-			opts.Metrics = cfg.Metrics
-		}
 		if cfg.Dir != "" {
 			opts.Dir = filepath.Join(cfg.Dir, fmt.Sprintf("node%03d", i))
 			if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -202,6 +123,9 @@ func (e *Engine) Ingest(makeReader func(copy int) (graph.EdgeReader, error)) (*i
 	if e.closed.Load() {
 		return nil, fmt.Errorf("core: engine closed")
 	}
+	if err := e.requireCaps("ingest", false); err != nil {
+		return nil, err
+	}
 	icfg := e.cfg.Ingest
 	icfg.FrontEnds = e.cfg.FrontEnds
 	icfg.Backends = e.cfg.Backends
@@ -219,7 +143,7 @@ func (e *Engine) Ingest(makeReader func(copy int) (graph.EdgeReader, error)) (*i
 	// Durable databases get durable ingest: back-ends checkpoint their
 	// window dedup-set so a crashed-and-restarted run can re-ship the
 	// stream without double-storing.
-	if e.cfg.DBOptions.Durability >= graphdb.DurabilityFull {
+	if e.durable() {
 		icfg.Durable = true
 	}
 
@@ -237,7 +161,7 @@ func (e *Engine) Ingest(makeReader func(copy int) (graph.EdgeReader, error)) (*i
 	rt := datacutter.NewRuntime(e.fabric)
 	ropts := datacutter.RunOptions{
 		Deadline: e.cfg.IngestDeadline,
-		FailFast: e.cfg.IngestFailFast || e.cfg.IngestDeadline > 0,
+		FailFast: e.cfg.IngestDeadline > 0,
 	}
 	runStart := time.Now()
 	runErr := rt.RunWith(g, ropts)
@@ -252,6 +176,24 @@ func (e *Engine) Ingest(makeReader func(copy int) (graph.EdgeReader, error)) (*i
 		return stats, runErr
 	}
 	return stats, nil
+}
+
+// durable reports whether the databases run under full durability, which
+// makes ingest and migration checkpoint their window dedup-set.
+func (e *Engine) durable() bool { return e.cfg.DBOptions.Durability >= graphdb.DurabilityFull }
+
+// requireCaps refuses op before its first side effect when the backend
+// lacks graphdb.Checkpointer for a durable run or, with scan, the
+// graphdb.VertexScanner a migration walks sources with. Every node runs
+// the same backend, so node 0 answers for all.
+func (e *Engine) requireCaps(op string, scan bool) error {
+	if _, ok := e.dbs[0].(graphdb.VertexScanner); scan && !ok {
+		return fmt.Errorf("core: %s needs a backend that enumerates its vertices (graphdb.VertexScanner), not %s", op, e.cfg.Backend)
+	}
+	if _, ok := e.dbs[0].(graphdb.Checkpointer); e.durable() && !ok {
+		return fmt.Errorf("core: durable %s needs a backend that checkpoints (graphdb.Checkpointer), not %s", op, e.cfg.Backend)
+	}
+	return nil
 }
 
 // invalidateQueryCaches purges stale result-cache entries in every

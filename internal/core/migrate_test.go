@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"testing"
+	"time"
 
 	"mssg/internal/cluster"
 	"mssg/internal/core"
@@ -114,5 +115,48 @@ func TestEngineElasticTopology(t *testing.T) {
 	}
 	if _, resumed, err := e.ResumeMigration(ingest.MigrationConfig{}); err != nil || resumed {
 		t.Fatalf("quiescent resume: resumed=%v err=%v", resumed, err)
+	}
+}
+
+// A migration over a backend that cannot enumerate its vertices (bdb has
+// no graphdb.VertexScanner) is refused before BeginMigration persists a
+// pending record, instead of hanging in the copy pass.
+func TestEngineMigrationNeedsVertexScanner(t *testing.T) {
+	holder, err := ingest.NewPlacementHolder(t.TempDir(), ingest.Manifest{Committed: ingest.Placement{
+		Policy: "rendezvous", Backends: 4, Replication: 2, Seed: 5,
+		Nodes: []cluster.NodeID{0, 1, 2},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := core.New(core.Config{
+		Backends: 4, Backend: "bdb", Dir: t.TempDir(),
+		Ingest:    ingest.Config{AddReverse: true},
+		Placement: holder,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if _, err := e.IngestEdges(testGraph(t)); err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	for name, op := range map[string]func() error{
+		"drain": func() error { _, err := e.Drain(0, ingest.MigrationConfig{}); return err },
+		"join":  func() error { _, err := e.Join(3, ingest.MigrationConfig{}); return err },
+	} {
+		done := make(chan error, 1)
+		go func() { done <- op() }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s on bdb succeeded", name)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s on bdb hung", name)
+		}
+		if p := holder.Manifest().Pending; p != nil {
+			t.Fatalf("%s on bdb left a pending migration to epoch %d", name, p.Epoch)
+		}
 	}
 }

@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"mssg/internal/cluster"
 	"mssg/internal/core"
 	"mssg/internal/gen"
 	"mssg/internal/graph"
@@ -27,6 +30,60 @@ func TestConfigValidation(t *testing.T) {
 	// Out-of-core backend without a directory must fail cleanly.
 	if _, err := core.New(core.Config{Backends: 2, Backend: "grdb"}); err == nil {
 		t.Error("grdb without Dir accepted")
+	}
+}
+
+// Every cross-field rule is refused by Validate, before New creates a
+// node directory or opens a database.
+func TestConfigValidateRejectsBeforeOpening(t *testing.T) {
+	rendezvous2 := func() ingest.Policy { return ingest.NewRendezvous(4, 2, 0) }
+	holder, err := ingest.NewPlacementHolder("", ingest.Manifest{Committed: ingest.Placement{
+		Policy: "rendezvous", Backends: 4, Replication: 2,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]core.Config{
+		"placement wider than engine":  {Backends: 3, Placement: holder},
+		"replication above back-ends":  {Backends: 1, Ingest: ingest.Config{ReplicationFactor: 2, Policy: rendezvous2}},
+		"replication without replicas": {Backends: 4, Ingest: ingest.Config{ReplicationFactor: 2}},
+		"fault plan without seed":      {Backends: 2, Fault: &cluster.Plan{DropProb: 0.01}},
+		"crash node outside fabric":    {Backends: 1, Fault: &cluster.Plan{Seed: 1, Crashes: []cluster.Crash{{Node: 1, AfterSends: 5}}}},
+		"negative crash node":          {Backends: 2, Fault: &cluster.Plan{Seed: 1, Crashes: []cluster.Crash{{Node: -1, AfterSends: 5}}}},
+	} {
+		cfg.Backend, cfg.Dir = "grdb", t.TempDir()
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, cfg)
+		}
+		if e, err := core.New(cfg); err == nil {
+			e.Close()
+			t.Errorf("%s: New accepted the config", name)
+		}
+		if _, err := os.Stat(filepath.Join(cfg.Dir, "node000")); !os.IsNotExist(err) {
+			t.Errorf("%s: New touched the directory before rejecting (stat: %v)", name, err)
+		}
+	}
+}
+
+// A durable ingest on a backend without graphdb.Checkpointer is refused
+// with one error before any filter stores an edge.
+func TestDurableIngestNeedsCheckpointer(t *testing.T) {
+	e, err := core.New(core.Config{
+		Backends: 2, Backend: "mysql", Dir: t.TempDir(),
+		DBOptions: graphdb.Options{Durability: graphdb.DurabilityFull},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	_, err = e.IngestEdges([]graph.Edge{{Src: 1, Dst: 2}, {Src: 2, Dst: 3}})
+	if err == nil || strings.Count(err.Error(), "Checkpointer") != 1 {
+		t.Fatalf("durable ingest on mysql: err = %v, want one Checkpointer error", err)
+	}
+	for i, db := range e.Databases() {
+		if n := db.Stats().EdgesStored; n != 0 {
+			t.Errorf("node %d stored %d edges before the refusal", i, n)
+		}
 	}
 }
 

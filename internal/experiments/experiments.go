@@ -191,19 +191,15 @@ func buildEngine(p *Params, label, backend string, backends, frontends int, opts
 		cfg.DBOptions.Compress = true
 	}
 	if p.FaultSeed != 0 {
-		cfg.Fault = &cluster.Plan{
-			Seed:     p.FaultSeed,
-			DropProb: 0.01, DupProb: 0.002, DelayProb: 0.01,
-			MaxDelay: 200 * time.Microsecond,
-		}
+		plan := cluster.SoakPlan(p.FaultSeed, 0.01)
+		cfg.Fault = &plan
 		cfg.Reliable = true
 	}
 	if p.Deadline > 0 {
 		cfg.IngestDeadline = p.Deadline
-		cfg.IngestFailFast = true
 	}
 	if p.Metrics {
-		cfg.Metrics = obs.Default()
+		cfg.DBOptions.Metrics = obs.Default()
 	}
 	return core.New(cfg)
 }

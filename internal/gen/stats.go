@@ -52,6 +52,13 @@ func ComputeStats(name string, r graph.EdgeReader, numVertices int64) (Stats, er
 		deg[e.Dst]++
 		edges++
 	}
+	return StatsFromDegrees(name, deg, edges), nil
+}
+
+// StatsFromDegrees summarizes a per-vertex degree array (indexed by
+// vertex ID, each undirected edge counted at both endpoints) of a graph
+// with edges undirected edges.
+func StatsFromDegrees(name string, deg []int64, edges int64) Stats {
 	s := Stats{Name: name, UndEdges: edges, MinDegree: -1}
 	for v, d := range deg {
 		if d == 0 {
@@ -72,7 +79,7 @@ func ComputeStats(name string, r graph.EdgeReader, numVertices int64) (Stats, er
 	if s.Vertices > 0 {
 		s.AvgDegree = 2 * float64(edges) / float64(s.Vertices)
 	}
-	return s, nil
+	return s
 }
 
 // DegreeHistogram buckets vertex degrees into powers of two; used by tests

@@ -26,6 +26,30 @@ type EdgeWriter interface {
 	Flush() error
 }
 
+// NewEdgeReader returns a reader for an edge stream in format "ascii"
+// or "binary".
+func NewEdgeReader(format string, r io.Reader) (EdgeReader, error) {
+	switch format {
+	case "ascii":
+		return NewASCIIEdgeReader(r), nil
+	case "binary":
+		return NewBinaryEdgeReader(r), nil
+	}
+	return nil, fmt.Errorf("graph: unknown edge format %q (want ascii or binary)", format)
+}
+
+// NewEdgeWriter returns a writer for an edge stream in format "ascii"
+// or "binary".
+func NewEdgeWriter(format string, w io.Writer) (EdgeWriter, error) {
+	switch format {
+	case "ascii":
+		return NewASCIIEdgeWriter(w), nil
+	case "binary":
+		return NewBinaryEdgeWriter(w), nil
+	}
+	return nil, fmt.Errorf("graph: unknown edge format %q (want ascii or binary)", format)
+}
+
 // ASCIIEdgeReader parses whitespace-separated "src dst" pairs, one per
 // line. Blank lines and lines starting with '#' are skipped.
 type ASCIIEdgeReader struct {

@@ -32,6 +32,22 @@ type Server struct {
 // expvar panics on duplicate names, and tests may start several servers.
 var publishOnce sync.Once
 
+// ServeFlag starts the -metrics-addr server of command prog over the
+// process-wide registry and tracer, and prints its URL to stderr. An
+// empty addr serves nothing and returns a nil *Server, whose Close is a
+// no-op.
+func ServeFlag(prog, addr string) (*Server, error) {
+	if addr == "" {
+		return nil, nil
+	}
+	s, err := Serve(addr, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "%s: metrics on http://%s/metrics\n", prog, s.Addr())
+	return s, nil
+}
+
 // Serve starts the observability server on addr (e.g. ":8080",
 // "127.0.0.1:0"). reg and tr may be nil, selecting the process-wide
 // defaults.
