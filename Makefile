@@ -67,8 +67,9 @@ tenants:
 scrub:
 	$(GO) run ./cmd/mssg-bench -check $(DIR)
 
-# Short fuzz pass over the wire and storage codecs (regression corpus +
-# FUZZTIME of exploration per target): make fuzz FUZZTIME=5s
+# Short fuzz pass over the wire and storage codecs and grDB's chain
+# format (regression corpus + FUZZTIME of exploration per target):
+# make fuzz FUZZTIME=5s
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEdgeRoundTrip -fuzztime $(FUZZTIME) ./internal/graph
@@ -77,6 +78,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzRecordScan -fuzztime $(FUZZTIME) ./internal/storage/wal
 	$(GO) test -run xxx -fuzz FuzzManifestDecode -fuzztime $(FUZZTIME) ./internal/graphdb/grdb
 	$(GO) test -run xxx -fuzz FuzzStateRecordDecode -fuzztime $(FUZZTIME) ./internal/graphdb/grdb
+	$(GO) test -run xxx -fuzz FuzzChainWalk -fuzztime $(FUZZTIME) ./internal/graphdb/grdb
 	$(GO) test -run xxx -fuzz FuzzWALRecordDecode -fuzztime $(FUZZTIME) ./internal/graphdb/reldb
 	$(GO) test -run xxx -fuzz FuzzCheckpointRecordDecode -fuzztime $(FUZZTIME) ./internal/graphdb/reldb
 	$(GO) test -run xxx -fuzz FuzzManifestDecode -fuzztime $(FUZZTIME) ./internal/graphdb/reldb

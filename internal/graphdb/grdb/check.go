@@ -24,9 +24,9 @@ type CheckReport struct {
 // Check walks every vertex chain and validates the storage invariants
 // the format relies on (a database fsck):
 //
-//   - every pointer targets a level inside the ladder and a sub-block
-//     below that level's allocation high-water mark;
-//   - no chain revisits a sub-block (no cycles);
+//   - every pointer moves strictly forward and targets a sub-block
+//     inside the ladder, below its level's allocation high-water mark
+//     (DB.link; this also rules out cycles);
 //   - slots fill contiguously: no neighbour word follows an empty slot;
 //   - every stored neighbour ID is a legal 61-bit vertex.
 //
@@ -36,87 +36,53 @@ func (d *DB) Check() (CheckReport, error) {
 		return CheckReport{}, fmt.Errorf("grdb: check on closed database")
 	}
 	report := CheckReport{LevelSubBlocks: make([]int64, len(d.levels))}
+	var l link
 	for v := graph.VertexID(0); v <= d.maxVertex; v++ {
-		visited := make(map[tailPos]bool)
-		ℓ, s := 0, int64(v)
 		hops := 0
-		for {
-			pos := tailPos{level: ℓ, sub: s}
-			if visited[pos] {
-				return report, fmt.Errorf("grdb: vertex %d: chain cycle at level %d sub-block %d", v, ℓ, s)
+		for p := anchor(v); p.level >= 0; p = l.next {
+			if err := d.link(p, &l); err != nil {
+				return report, fmt.Errorf("%w (vertex %d)", err, v)
 			}
-			visited[pos] = true
-
-			h, sub, err := d.subBlock(ℓ, s)
+			err := d.checkLink(p, &l)
+			if rerr := l.h.Release(); err == nil {
+				err = rerr
+			}
 			if err != nil {
-				return report, err
+				return report, fmt.Errorf("%w (vertex %d)", err, v)
 			}
-			capSlots := d.levels[ℓ].d
-			fill := fillPoint(sub)
-
-			// Contiguity: every word past the fill point must be empty.
-			for i := fill; i < capSlots; i++ {
-				if getWord(sub, i) != wordEmpty {
-					h.Release()
-					return report, fmt.Errorf("grdb: vertex %d: level %d sub-block %d has data after fill point %d",
-						v, ℓ, s, fill)
-				}
-			}
-			if fill == 0 {
-				h.Release()
+			if l.fill == 0 {
 				break
-			}
-			if hops == 0 {
-				report.Vertices++
 			}
 			hops++
 			report.Chains++
-			report.LevelSubBlocks[ℓ]++
-
-			n := fill
-			var next uint64
-			if fill == capSlots {
-				if last := getWord(sub, capSlots-1); isPointer(last) {
-					n = capSlots - 1
-					next = last
-				}
-			}
-			for i := 0; i < n; i++ {
-				w := getWord(sub, i)
-				if isPointer(w) {
-					h.Release()
-					return report, fmt.Errorf("grdb: vertex %d: level %d sub-block %d slot %d holds a pointer before the last slot",
-						v, ℓ, s, i)
-				}
-				u := decodeNeighbor(w)
-				if !u.Valid() {
-					h.Release()
-					return report, fmt.Errorf("grdb: vertex %d: invalid stored neighbour %d", v, u)
-				}
-				report.Edges++
-			}
-			if err := h.Release(); err != nil {
-				return report, err
-			}
-			if next == 0 {
-				break
-			}
-			nl, ns := decodePointer(next)
-			if nl < 0 || nl >= len(d.levels) {
-				return report, fmt.Errorf("grdb: vertex %d: pointer to level %d outside ladder", v, nl)
-			}
-			if nl == 0 {
-				return report, fmt.Errorf("grdb: vertex %d: pointer back into level 0", v)
-			}
-			if ns < 0 || ns >= d.nextFree[nl] {
-				return report, fmt.Errorf("grdb: vertex %d: pointer to unallocated level-%d sub-block %d (high-water %d)",
-					v, nl, ns, d.nextFree[nl])
-			}
-			ℓ, s = nl, ns
+			report.LevelSubBlocks[p.level]++
+			report.Edges += int64(l.n)
 		}
-		if hops > report.MaxChain {
-			report.MaxChain = hops
+		if hops > 0 {
+			report.Vertices++
 		}
+		report.MaxChain = max(report.MaxChain, hops)
 	}
 	return report, nil
+}
+
+// checkLink validates the words of one pinned sub-block: none past the
+// fill point, and a legal neighbour in every slot before the
+// continuation.
+func (d *DB) checkLink(p subPos, l *link) error {
+	for i := l.fill; i < d.levels[p.level].d; i++ {
+		if getWord(l.sub, i) != wordEmpty {
+			return fmt.Errorf("grdb: level %d sub-block %d has data after fill point %d", p.level, p.sub, l.fill)
+		}
+	}
+	for i := 0; i < l.n; i++ {
+		w := getWord(l.sub, i)
+		if isPointer(w) {
+			return fmt.Errorf("grdb: level %d sub-block %d slot %d holds a pointer before the last slot", p.level, p.sub, i)
+		}
+		if u := decodeNeighbor(w); !u.Valid() {
+			return fmt.Errorf("grdb: level %d sub-block %d: invalid stored neighbour %d", p.level, p.sub, u)
+		}
+	}
+	return nil
 }

@@ -23,17 +23,14 @@ func (d *DB) DefragmentVertex(v graph.VertexID) (bool, error) {
 		return false, graphdb.ErrClosed
 	}
 	var adj []graph.VertexID
-	if err := d.walkAdjacency(v, func(u graph.VertexID) { adj = append(adj, u) }); err != nil {
+	cur, _, err := d.chain(v, &adj)
+	if err != nil {
 		return false, err
 	}
 	d0 := d.levels[0].d
 	if len(adj) <= d0 {
 		// Never overflowed; already a single level-0 sub-block.
 		return false, nil
-	}
-	cur, err := d.ChainLength(v)
-	if err != nil {
-		return false, err
 	}
 	want := 1 + d.tailBlocksNeeded(len(adj)-(d0-1))
 	if cur <= want {
@@ -76,7 +73,8 @@ func (d *DB) rewriteChain(v graph.VertexID, adj []graph.VertexID) error {
 	// The old chain (and any tail hint into it) is abandoned.
 	delete(d.tailHint, v)
 	d0 := d.levels[0].d
-	h, sub, err := d.subBlock(0, int64(v))
+	a := anchor(v)
+	h, sub, err := d.subBlock(a.level, a.sub)
 	if err != nil {
 		return err
 	}

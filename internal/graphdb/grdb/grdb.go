@@ -129,7 +129,8 @@ type DB struct {
 	meta   *graphdb.MetaMap
 
 	// nextFree[ℓ] is the next unallocated sub-block at level ℓ (ℓ >= 1;
-	// level 0 is addressed by vertex id). Persisted in the manifest.
+	// level 0 is addressed by anchor and nextFree[0] stays 0). Persisted
+	// in the manifest.
 	nextFree []int64
 
 	// maxVertex is the highest source vertex stored, bounding the
@@ -141,7 +142,7 @@ type DB struct {
 	// I/Os due to updates" of §3.2. Purely an accelerator: entries are
 	// dropped on any doubt (reopen, defragmentation) and appends fall
 	// back to the full chain walk.
-	tailHint map[graph.VertexID]tailPos
+	tailHint map[graph.VertexID]subPos
 
 	// copyUp selects the §3.4.1 copy-on-overflow strategy; see
 	// graphdb.Options.CopyUpOnOverflow. Chains stay at most two hops
@@ -189,8 +190,8 @@ type DB struct {
 	stats  graphdb.StatCounters
 }
 
-// tailPos locates the sub-block an append should start from.
-type tailPos struct {
+// subPos addresses sub-block sub of level level.
+type subPos struct {
 	level int
 	sub   int64
 }
@@ -226,8 +227,10 @@ func isPointer(w uint64) bool { return wordTag(w) == tagPointer }
 
 // validateLevels enforces the §3.4.1 constraints on a level ladder.
 func validateLevels(levels []graphdb.LevelSpec, maxFileBytes int64) error {
-	if len(levels) < 1 {
-		return fmt.Errorf("grdb: need at least one level")
+	// Overflow allocates at level 1 and up; a one-level ladder would
+	// allocate level-0 sub-blocks, which are other vertices' anchors.
+	if len(levels) < 2 {
+		return fmt.Errorf("grdb: need at least two levels")
 	}
 	for i, l := range levels {
 		if l.SubBlockCap < 2 {
@@ -285,7 +288,7 @@ func Open(opts graphdb.Options) (*DB, error) {
 		meta:       graphdb.NewMetaMap(),
 		nextFree:   make([]int64, len(specs)),
 		maxVertex:  -1,
-		tailHint:   make(map[graph.VertexID]tailPos),
+		tailHint:   make(map[graph.VertexID]subPos),
 		copyUp:     opts.CopyUpOnOverflow,
 		fsys:       fsys,
 		durable:    opts.Durability >= graphdb.DurabilityFull,
@@ -421,6 +424,51 @@ func (d *DB) subBlock(ℓ int, s int64) (*cache.Handle, []byte, error) {
 	}
 	off := int(s%l.k) * l.subBytes
 	return h, h.Data()[off : off+l.subBytes], nil
+}
+
+// anchor is where v's chain starts: the v-th level-0 sub-block. It is
+// the only place a vertex id addresses level 0.
+func anchor(v graph.VertexID) subPos { return subPos{level: 0, sub: int64(v)} }
+
+// link is one pinned sub-block of a chain, as decoded by DB.link. The
+// caller owns it and releases h.
+type link struct {
+	h    *cache.Handle
+	sub  []byte // the sub-block's window in the pinned block
+	fill int    // used slots
+	n    int    // neighbour slots: fill, less the continuation pointer
+	next subPos // the continuation; level -1 where the chain ends
+}
+
+// link pins sub-block p and decodes it into l. Every writer points a
+// full sub-block at a freshly allocated one — at nextLevel, at a
+// compacted tail's level >= 1, or later within the top level — so a
+// continuation is legal only if it moves strictly forward and lands
+// below its level's nextFree. Anything else is corruption and an error;
+// the rule also guarantees that every chain walk ends.
+func (d *DB) link(p subPos, l *link) error {
+	h, sub, err := d.subBlock(p.level, p.sub)
+	if err != nil {
+		return err
+	}
+	fill := fillPoint(sub)
+	*l = link{h: h, sub: sub, fill: fill, n: fill, next: subPos{level: -1}}
+	if fill < d.levels[p.level].d {
+		return nil
+	}
+	last := getWord(sub, fill-1)
+	if !isPointer(last) {
+		return nil
+	}
+	nl, ns := decodePointer(last)
+	if nl >= len(d.levels) || nl < p.level || (nl == p.level && ns <= p.sub) || ns >= d.nextFree[nl] {
+		h.Release()
+		return fmt.Errorf("grdb: level %d sub-block %d: corrupt pointer to level %d sub-block %d",
+			p.level, p.sub, nl, ns)
+	}
+	l.n = fill - 1
+	l.next = subPos{level: nl, sub: ns}
+	return nil
 }
 
 // fillPoint returns the number of used slots in a sub-block window: the

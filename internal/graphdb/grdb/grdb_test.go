@@ -169,9 +169,10 @@ func TestFillPointBinarySearch(t *testing.T) {
 func TestLevelValidation(t *testing.T) {
 	bad := [][]graphdb.LevelSpec{
 		{},                                   // no levels
-		{{SubBlockCap: 1, BlockBytes: 4096}}, // d < 2
-		{{SubBlockCap: 2, BlockBytes: 8}},    // block < sub-block
-		{{SubBlockCap: 3, BlockBytes: 4096}}, // block not multiple of sub-block (3*8=24)
+		{{SubBlockCap: 2, BlockBytes: 4096}}, // one level: overflow would allocate anchors
+		{{SubBlockCap: 1, BlockBytes: 4096}, {SubBlockCap: 4, BlockBytes: 4096}}, // d < 2
+		{{SubBlockCap: 2, BlockBytes: 8}, {SubBlockCap: 4, BlockBytes: 4096}},    // block < sub-block
+		{{SubBlockCap: 3, BlockBytes: 4096}, {SubBlockCap: 8, BlockBytes: 4096}}, // block not multiple of sub-block (3*8=24)
 		{{SubBlockCap: 2, BlockBytes: 4096}, {SubBlockCap: 3, BlockBytes: 4096}}, // d1 < 2*d0
 	}
 	for i, levels := range bad {

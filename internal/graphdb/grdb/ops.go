@@ -59,40 +59,33 @@ func (d *DB) StoreEdges(edges []graph.Edge) error {
 // redirected, keeping every chain at most level-0 → tail until the top
 // level.
 func (d *DB) appendNeighbors(v graph.VertexID, ids []graph.VertexID) error {
-	ℓ, s := 0, int64(v)
+	p := anchor(v)
 	if !d.copyUp {
 		if hint, ok := d.tailHint[v]; ok {
-			ℓ, s = hint.level, hint.sub
+			p = hint
 		}
 		defer func() {
-			d.tailHint[v] = tailPos{level: ℓ, sub: s}
+			d.tailHint[v] = p
 		}()
 	}
-	// parent tracks the sub-block whose last slot points at (ℓ, s); the
-	// sentinel level -1 means (ℓ, s) is the level-0 anchor itself.
-	parent := tailPos{level: -1}
+	// parent is the sub-block whose last slot points at p. Copy-up
+	// redirects it only above level 0, and without tail hints p leaves
+	// level 0 only by a step that sets parent.
+	var parent subPos
+	var l link
 	for len(ids) > 0 {
-		h, sub, err := d.subBlock(ℓ, s)
-		if err != nil {
+		if err := d.link(p, &l); err != nil {
 			return err
 		}
-		capSlots := d.levels[ℓ].d
-		fill := fillPoint(sub)
-
-		// A full sub-block whose last word is a pointer: follow it.
-		if fill == capSlots {
-			if last := getWord(sub, capSlots-1); isPointer(last) {
-				if err := h.Release(); err != nil {
-					return err
-				}
-				parent = tailPos{level: ℓ, sub: s}
-				ℓ, s = decodePointer(last)
-				if ℓ >= len(d.levels) {
-					return fmt.Errorf("grdb: pointer to level %d beyond ladder", ℓ)
-				}
-				continue
+		if l.next.level >= 0 {
+			if err := l.h.Release(); err != nil {
+				return err
 			}
+			parent, p = p, l.next
+			continue
 		}
+		ℓ, h, sub, fill := p.level, l.h, l.sub, l.fill
+		capSlots := d.levels[ℓ].d
 
 		// Append into free slots.
 		for len(ids) > 0 && fill < capSlots {
@@ -129,23 +122,16 @@ func (d *DB) appendNeighbors(v graph.VertexID, ids []graph.VertexID) error {
 			if err := nh.Release(); err != nil {
 				return err
 			}
-			// Redirect the parent (level 0 anchor when parent is the
-			// sentinel — then the anchor's own last slot is the pointer).
-			pl, ps := parent.level, parent.sub
-			if pl < 0 {
-				pl, ps = 0, int64(v)
-			}
-			ph, psub, err := d.subBlock(pl, ps)
+			ph, psub, err := d.subBlock(parent.level, parent.sub)
 			if err != nil {
 				return err
 			}
-			setWord(psub, d.levels[pl].d-1, encodePointer(nl, newSub))
+			setWord(psub, d.levels[parent.level].d-1, encodePointer(nl, newSub))
 			ph.MarkDirty()
 			if err := ph.Release(); err != nil {
 				return err
 			}
-			parent = tailPos{level: pl, sub: ps}
-			ℓ, s = nl, newSub
+			p = subPos{level: nl, sub: newSub}
 			continue
 		}
 
@@ -160,47 +146,9 @@ func (d *DB) appendNeighbors(v graph.VertexID, ids []graph.VertexID) error {
 			return err
 		}
 		ids = append([]graph.VertexID{evicted}, ids...)
-		parent = tailPos{level: ℓ, sub: s}
-		ℓ, s = nl, newSub
+		parent, p = p, subPos{level: nl, sub: newSub}
 	}
 	return nil
-}
-
-// walkAdjacency streams v's neighbours in storage order.
-func (d *DB) walkAdjacency(v graph.VertexID, visit func(u graph.VertexID)) error {
-	ℓ, s := 0, int64(v)
-	for {
-		h, sub, err := d.subBlock(ℓ, s)
-		if err != nil {
-			return err
-		}
-		capSlots := d.levels[ℓ].d
-		fill := fillPoint(sub)
-		if fill == 0 {
-			return h.Release()
-		}
-		n := fill
-		var next uint64
-		if fill == capSlots {
-			if last := getWord(sub, capSlots-1); isPointer(last) {
-				n = capSlots - 1
-				next = last
-			}
-		}
-		for i := 0; i < n; i++ {
-			visit(decodeNeighbor(getWord(sub, i)))
-		}
-		if err := h.Release(); err != nil {
-			return err
-		}
-		if next == 0 {
-			return nil
-		}
-		ℓ, s = decodePointer(next)
-		if ℓ >= len(d.levels) {
-			return fmt.Errorf("grdb: pointer to level %d beyond ladder", ℓ)
-		}
-	}
 }
 
 // Metadata implements graphdb.Graph.
@@ -231,24 +179,50 @@ func (d *DB) AdjacencyUsingMetadata(v graph.VertexID, out *graph.AdjList, md int
 	start := d.stats.OpStart()
 	defer d.stats.ObserveAdjacency(start)
 	d.stats.AddAdjacencyCall()
-	if op == graphdb.MetaIgnore {
-		var n int64
-		err := d.walkAdjacency(v, func(u graph.VertexID) {
-			out.Append(u)
-			n++
-		})
-		d.stats.AddNeighborsReturned(n)
-		return err
-	}
-	var n int64
-	err := d.walkAdjacency(v, func(u graph.VertexID) {
-		if op.Matches(d.meta.Get(u), md) {
-			out.Append(u)
-			n++
+	ignore := op == graphdb.MetaIgnore
+	var (
+		l   link
+		n   int64
+		err error
+	)
+	for p := anchor(v); p.level >= 0 && err == nil; p = l.next {
+		if err = d.link(p, &l); err != nil {
+			break
 		}
-	})
+		for i := 0; i < l.n; i++ {
+			u := decodeNeighbor(getWord(l.sub, i))
+			if ignore || op.Matches(d.meta.Get(u), md) {
+				out.Append(u)
+				n++
+			}
+		}
+		err = l.h.Release()
+	}
 	d.stats.AddNeighborsReturned(n)
 	return err
+}
+
+// chain walks v's chain and returns its length in non-empty sub-blocks
+// and its degree; when adj is non-nil, v's neighbours are appended to it
+// in storage order.
+func (d *DB) chain(v graph.VertexID, adj *[]graph.VertexID) (hops int, degree int64, err error) {
+	var l link
+	for p := anchor(v); p.level >= 0; p = l.next {
+		if err := d.link(p, &l); err != nil {
+			return 0, 0, err
+		}
+		if l.fill > 0 {
+			hops++
+		}
+		degree += int64(l.n)
+		for i := 0; adj != nil && i < l.n; i++ {
+			*adj = append(*adj, decodeNeighbor(getWord(l.sub, i)))
+		}
+		if err := l.h.Release(); err != nil {
+			return 0, 0, err
+		}
+	}
+	return hops, degree, nil
 }
 
 // Degree returns v's stored out-degree (chain walk).
@@ -256,8 +230,7 @@ func (d *DB) Degree(v graph.VertexID) (int64, error) {
 	if d.closed {
 		return 0, graphdb.ErrClosed
 	}
-	var n int64
-	err := d.walkAdjacency(v, func(graph.VertexID) { n++ })
+	_, n, err := d.chain(v, nil)
 	return n, err
 }
 
@@ -268,34 +241,8 @@ func (d *DB) ChainLength(v graph.VertexID) (int, error) {
 	if d.closed {
 		return 0, graphdb.ErrClosed
 	}
-	ℓ, s := 0, int64(v)
-	hops := 0
-	for {
-		h, sub, err := d.subBlock(ℓ, s)
-		if err != nil {
-			return 0, err
-		}
-		capSlots := d.levels[ℓ].d
-		fill := fillPoint(sub)
-		if fill == 0 {
-			err := h.Release()
-			return hops, err
-		}
-		hops++
-		var next uint64
-		if fill == capSlots {
-			if last := getWord(sub, capSlots-1); isPointer(last) {
-				next = last
-			}
-		}
-		if err := h.Release(); err != nil {
-			return 0, err
-		}
-		if next == 0 {
-			return hops, nil
-		}
-		ℓ, s = decodePointer(next)
-	}
+	hops, _, err := d.chain(v, nil)
+	return hops, err
 }
 
 // Flush implements graphdb.Graph. In durable mode it is an atomic

@@ -169,10 +169,10 @@ func (j *prefetchJob) finish(err error) {
 // readWave.
 func (j *prefetchJob) walk(fringe []graph.VertexID) error {
 	d := j.e.d
-	positions := make([]tailPos, 0, len(fringe))
+	positions := make([]subPos, 0, len(fringe))
 	for _, v := range fringe {
 		if uint64(v) <= maxStoreable {
-			positions = append(positions, tailPos{level: 0, sub: int64(v)})
+			positions = append(positions, anchor(v))
 		}
 	}
 	seen := make(map[blockRef]bool)
@@ -214,17 +214,20 @@ func (j *prefetchJob) walk(fringe []graph.VertexID) error {
 		}
 		// Advance every chain one hop; these reads hit the blocks the
 		// wave just warmed.
-		var next []tailPos
+		var next []subPos
+		var l link
 		for _, pos := range positions {
 			if err := j.ctx.Err(); err != nil {
 				return err
 			}
-			np, ok, err := d.continuation(pos.level, pos.sub)
-			if err != nil {
+			if err := d.link(pos, &l); err != nil {
 				return err
 			}
-			if ok {
-				next = append(next, np)
+			if err := l.h.Release(); err != nil {
+				return err
+			}
+			if l.next.level >= 0 {
+				next = append(next, l.next)
 			}
 		}
 		positions = next
@@ -301,23 +304,3 @@ func (j *prefetchJob) readWave(wave []blockRef) error {
 // assertions in the conformance suite (and as the obs gauge
 // grdb.prefetch.active_goroutines).
 func (d *DB) PrefetchGoroutines() int64 { return d.pf.active.Load() }
-
-// continuation returns the continuation pointer of sub-block (ℓ, s), if
-// any.
-func (d *DB) continuation(ℓ int, s int64) (tailPos, bool, error) {
-	h, sub, err := d.subBlock(ℓ, s)
-	if err != nil {
-		return tailPos{}, false, err
-	}
-	defer h.Release()
-	capSlots := d.levels[ℓ].d
-	if fillPoint(sub) != capSlots {
-		return tailPos{}, false, nil
-	}
-	last := getWord(sub, capSlots-1)
-	if !isPointer(last) {
-		return tailPos{}, false, nil
-	}
-	nl, ns := decodePointer(last)
-	return tailPos{level: nl, sub: ns}, true, nil
-}

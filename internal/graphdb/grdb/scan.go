@@ -15,12 +15,15 @@ func (d *DB) ForEachVertex(fn func(v graph.VertexID) error) error {
 	if d.closed {
 		return graphdb.ErrClosed
 	}
+	var l link
 	for v := graph.VertexID(0); v <= d.maxVertex; v++ {
-		n, err := d.Degree(v)
-		if err != nil {
+		if err := d.link(anchor(v), &l); err != nil {
 			return err
 		}
-		if n == 0 {
+		if err := l.h.Release(); err != nil {
+			return err
+		}
+		if l.fill == 0 {
 			continue
 		}
 		if err := fn(v); err != nil {
