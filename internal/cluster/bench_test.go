@@ -45,7 +45,7 @@ func BenchmarkCollectiveAllReduce(b *testing.B) {
 	err := Run(f, func(ep Endpoint) error {
 		c := NewCollective(ep, 10, 11)
 		for i := 0; i < b.N; i++ {
-			if _, err := c.AllReduceSum(1); err != nil {
+			if err := c.AllReduceSum([]int64{1}); err != nil {
 				return err
 			}
 		}

@@ -43,7 +43,8 @@ func TestOpsAfterClose(t *testing.T) {
 }
 
 // TestBarrierAfterClose pins that collectives fail with ErrClosed rather
-// than deadlock when the fabric closes underneath them.
+// than deadlock when the fabric closes underneath them. An empty-vector
+// reduction is the barrier.
 func TestBarrierAfterClose(t *testing.T) {
 	for name, f := range fabrics(t, 3) {
 		t.Run(name, func(t *testing.T) {
@@ -57,7 +58,7 @@ func TestBarrierAfterClose(t *testing.T) {
 				go func(i int) {
 					defer wg.Done()
 					coll := NewCollective(f.Endpoint(NodeID(i)), 41, 42)
-					errs[i] = coll.Barrier()
+					errs[i] = coll.AllReduceSum(nil)
 				}(i)
 			}
 			wg.Wait()

@@ -3,8 +3,9 @@
 //
 // A Fabric is a set of numbered nodes connected by a message-passing
 // transport. Each node holds an Endpoint through which it can send
-// point-to-point messages, broadcast, and participate in collectives
-// (barrier, all-reduce). Two fabrics are provided:
+// point-to-point messages, broadcast, and participate in a collective
+// (one element-wise vector sum, which is also the barrier). Two fabrics
+// are provided:
 //
 //   - the in-process fabric (NewInProc), where every node is a goroutine
 //     and messages travel over Go channels — the default for experiments;

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -197,50 +198,41 @@ func TestOwnerMapping(t *testing.T) {
 func TestCollectives(t *testing.T) {
 	for name, f := range fabrics(t, 5) {
 		t.Run(name, func(t *testing.T) {
-			sums := make([]int64, 5)
-			maxes := make([]int64, 5)
-			mins := make([]int64, 5)
-			bcast := make([]int64, 5)
+			sums := make([][]int64, 5)
 			err := Run(f, func(ep Endpoint) error {
 				c := NewCollective(ep, 100, 101)
 				v := int64(ep.ID()) + 1 // 1..5
-				s, err := c.AllReduceSum(v)
-				if err != nil {
+				sums[ep.ID()] = []int64{v, -v, 0}
+				if err := c.AllReduceSum(sums[ep.ID()]); err != nil {
 					return err
 				}
-				sums[ep.ID()] = s
-				m, err := c.AllReduceMax(v)
-				if err != nil {
-					return err
-				}
-				maxes[ep.ID()] = m
-				mn, err := c.AllReduceMin(v)
-				if err != nil {
-					return err
-				}
-				mins[ep.ID()] = mn
-				b, err := c.BcastFromRoot(3, v*100)
-				if err != nil {
-					return err
-				}
-				bcast[ep.ID()] = b
-				return c.Barrier()
+				return c.AllReduceSum(nil)
 			})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
 			for n := 0; n < 5; n++ {
-				if sums[n] != 15 {
-					t.Errorf("node %d sum = %d, want 15", n, sums[n])
+				if want := []int64{15, -15, 0}; !slices.Equal(sums[n], want) {
+					t.Errorf("node %d sum = %v, want %v", n, sums[n], want)
 				}
-				if maxes[n] != 5 {
-					t.Errorf("node %d max = %d, want 5", n, maxes[n])
+			}
+			// A contribution of the wrong length fails the round on every
+			// node: the coordinator rejects it and still answers the rest.
+			errs := make([]error, 5)
+			err = Run(f, func(ep Endpoint) error {
+				v := make([]int64, 3)
+				if ep.ID() == 2 {
+					v = v[:2]
 				}
-				if mins[n] != 1 {
-					t.Errorf("node %d min = %d, want 1", n, mins[n])
-				}
-				if bcast[n] != 400 {
-					t.Errorf("node %d bcast = %d, want 400 (root 3)", n, bcast[n])
+				errs[ep.ID()] = NewCollective(ep, 100, 101).AllReduceSum(v)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			for n, err := range errs {
+				if err == nil {
+					t.Errorf("node %d: wrong-length round succeeded", n)
 				}
 			}
 		})
@@ -253,11 +245,11 @@ func TestCollectiveManyRounds(t *testing.T) {
 	err := Run(f, func(ep Endpoint) error {
 		c := NewCollective(ep, 50, 51)
 		for round := int64(0); round < 200; round++ {
-			got, err := c.AllReduceSum(round)
-			if err != nil {
+			v := []int64{round}
+			if err := c.AllReduceSum(v); err != nil {
 				return err
 			}
-			if got != round*4 {
+			if got := v[0]; got != round*4 {
 				return fmt.Errorf("round %d: sum = %d, want %d", round, got, round*4)
 			}
 		}

@@ -6,11 +6,12 @@ import (
 	"fmt"
 )
 
-// Collective provides the synchronization primitives the parallel BFS
-// needs on top of point-to-point messaging: barriers, all-reduce, and
-// root broadcast. All nodes of a fabric must construct a Collective with
-// the same channel pair and call the same operations in the same order,
-// exactly as with MPI collectives.
+// Collective provides the one synchronization primitive the parallel BFS
+// and live migration need on top of point-to-point messaging: an
+// element-wise sum over a fixed-length vector, which is also the barrier.
+// All nodes of a fabric must construct a Collective with the same channel
+// pair and make the same calls in the same order, exactly as with MPI
+// collectives.
 //
 // Implementation: a central-coordinator scheme. Node 0 gathers one message
 // per peer on the "up" channel, combines, and answers on the "down"
@@ -62,22 +63,11 @@ func (c *Collective) recv(ch ChannelID) (Message, error) {
 	return c.ep.RecvCtx(c.ctx, ch)
 }
 
-func encodeInt64(v int64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, uint64(v))
-	return b
-}
-
-func decodeInt64(b []byte) (int64, error) {
-	if len(b) != 8 {
-		return 0, fmt.Errorf("cluster: collective payload has %d bytes, want 8", len(b))
-	}
-	return int64(binary.LittleEndian.Uint64(b)), nil
-}
-
-// reduce runs one coordinator round combining each node's contribution
-// with f and returning the combined value on every node.
-func (c *Collective) reduce(v int64, f func(a, b int64) int64) (int64, error) {
+// AllReduceSum replaces v, on every node, with the element-wise sum of
+// every node's v, in one coordinator round. Every node must pass a
+// vector of the same length; an empty vector is a barrier. A round with
+// a malformed contribution fails on every node.
+func (c *Collective) AllReduceSum(v []int64) error {
 	n := c.ep.Nodes()
 	root := NodeID(0)
 	if c.parts != nil {
@@ -85,105 +75,69 @@ func (c *Collective) reduce(v int64, f func(a, b int64) int64) (int64, error) {
 		root = c.parts[0]
 	}
 	if n == 1 {
-		return v, nil
+		return nil
 	}
-	if c.ep.ID() == root {
-		acc := v
-		for i := 0; i < n-1; i++ {
-			msg, err := c.recv(c.chUp)
-			if err != nil {
-				return 0, err
-			}
-			x, err := decodeInt64(msg.Payload)
-			if err != nil {
-				return 0, err
-			}
-			acc = f(acc, x)
+	if c.ep.ID() != root {
+		if err := c.ep.Send(root, c.chUp, encode(v)); err != nil {
+			return err
 		}
-		if c.parts != nil {
-			for _, p := range c.parts {
-				if p == root {
-					continue
-				}
-				if err := c.ep.Send(p, c.chDown, encodeInt64(acc)); err != nil {
-					return 0, err
-				}
-			}
-		} else if err := c.ep.Broadcast(c.chDown, encodeInt64(acc)); err != nil {
-			return 0, err
+		msg, err := c.recv(c.chDown)
+		if err != nil {
+			return err
 		}
-		return acc, nil
+		clear(v)
+		return addInto(v, msg.Payload)
 	}
-	if err := c.ep.Send(root, c.chUp, encodeInt64(v)); err != nil {
-		return 0, err
-	}
-	msg, err := c.recv(c.chDown)
-	if err != nil {
-		return 0, err
-	}
-	return decodeInt64(msg.Payload)
-}
-
-// Barrier blocks until every node has entered the barrier.
-func (c *Collective) Barrier() error {
-	_, err := c.reduce(0, func(a, b int64) int64 { return a + b })
-	return err
-}
-
-// AllReduceSum returns the sum of every node's v, on every node.
-func (c *Collective) AllReduceSum(v int64) (int64, error) {
-	return c.reduce(v, func(a, b int64) int64 { return a + b })
-}
-
-// AllReduceMax returns the maximum of every node's v, on every node.
-func (c *Collective) AllReduceMax(v int64) (int64, error) {
-	return c.reduce(v, func(a, b int64) int64 {
-		if a > b {
-			return a
+	// Gather every contribution even past a malformed one, so no message
+	// of this round is left queued for the next.
+	var bad error
+	for i := 0; i < n-1; i++ {
+		msg, err := c.recv(c.chUp)
+		if err != nil {
+			return err
 		}
-		return b
-	})
-}
-
-// AllReduceMin returns the minimum of every node's v, on every node.
-func (c *Collective) AllReduceMin(v int64) (int64, error) {
-	return c.reduce(v, func(a, b int64) int64 {
-		if a < b {
-			return a
+		if bad == nil {
+			bad = addInto(v, msg.Payload)
 		}
-		return b
-	})
-}
-
-// BcastFromRoot distributes root's value to all nodes. Non-root callers
-// pass any value; every caller receives root's.
-func (c *Collective) BcastFromRoot(root NodeID, v int64) (int64, error) {
-	n := c.ep.Nodes()
+	}
+	// A reply of one byte decodes as no vector, so a malformed round
+	// fails on every peer too.
+	reply := func() []byte {
+		if bad != nil {
+			return []byte{0}
+		}
+		return encode(v)
+	}
 	if c.parts != nil {
-		n = len(c.parts)
-	}
-	if n == 1 {
-		return v, nil
-	}
-	if err := Validate(root, c.ep.Nodes()); err != nil {
-		return 0, err
-	}
-	// Reuse the coordinator: root's value rides the reduction, every other
-	// node contributes an identity that the combiner ignores.
-	self := c.ep.ID()
-	var contribution int64
-	if self == root {
-		contribution = v
-	}
-	marker := int64(-1 << 62)
-	f := func(a, b int64) int64 {
-		if a != marker {
-			return a
+		for _, p := range c.parts {
+			if p == root {
+				continue
+			}
+			if err := c.ep.Send(p, c.chDown, reply()); err != nil {
+				return err
+			}
 		}
-		return b
+	} else if err := c.ep.Broadcast(c.chDown, reply()); err != nil {
+		return err
 	}
-	if self == root {
-		return c.reduce(contribution, f)
+	return bad
+}
+
+func encode(v []int64) []byte {
+	b := make([]byte, 8*len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
 	}
-	return c.reduce(marker, f)
+	return b
+}
+
+// addInto adds the vector encoded in b to v element-wise.
+func addInto(v []int64, b []byte) error {
+	if len(b) != 8*len(v) {
+		return fmt.Errorf("cluster: collective payload has %d bytes, want %d", len(b), 8*len(v))
+	}
+	for i := range v {
+		v[i] += int64(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return nil
 }

@@ -159,19 +159,22 @@ func (m *mailbox) getCtx(ctx context.Context) (Message, error) {
 	return Message{}, ctx.Err()
 }
 
-// getWithin waits up to d for a message. ok=false with a nil error means
-// the wait timed out with the queue still empty.
-func (m *mailbox) getWithin(d time.Duration) (Message, bool, error) {
+// getWithin waits up to d for a message, or until ctx is cancelled.
+// ok=false with a nil error means the wait ended with the queue still
+// empty.
+func (m *mailbox) getWithin(ctx context.Context, d time.Duration) (Message, bool, error) {
 	deadline := time.Now().Add(d)
-	timer := time.AfterFunc(d, func() {
+	wake := func() {
 		m.mu.Lock()
 		m.cond.Broadcast()
 		m.mu.Unlock()
-	})
+	}
+	timer := time.AfterFunc(d, wake)
 	defer timer.Stop()
+	defer context.AfterFunc(ctx, wake)()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.queue) == 0 && !m.closed && time.Now().Before(deadline) {
+	for len(m.queue) == 0 && !m.closed && ctx.Err() == nil && time.Now().Before(deadline) {
 		m.cond.Wait()
 	}
 	if len(m.queue) > 0 {

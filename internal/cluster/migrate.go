@@ -11,9 +11,9 @@
 // a pass ends when every peer has received an EOS frame from every other
 // peer. Passes are separated by an all-reduce gate that doubles as the
 // abort broadcast: the coordinator (lowest participant) runs the caller's
-// phase hook and contributes 0 to the gate when the hook vetoes, and a
-// participant whose pass failed contributes 0 too, so all nodes abandon
-// the migration at the same boundary. Running over the
+// phase hook and contributes 1 to the gate when the hook vetoes, and a
+// participant whose pass failed contributes 1 too; a non-zero sum makes
+// all nodes abandon the migration at the same boundary. Running over the
 // reliable fabric gives the copy stream exactly-once windows (seq/ack/
 // dedup) and turns a mid-migration participant death into a prompt
 // NodeDownError instead of a hang.
@@ -134,29 +134,28 @@ func RunMigration(f Fabric, peer func(n NodeID) MigratePeer, opt MigrateOptions)
 	return RunOn(f, parts, func(ep Endpoint) error {
 		p := peer(ep.ID())
 		coll := NewCollective(ep, chUp, chDn).WithParticipants(parts)
-		// A pass error is voted 0 at the next gate, not returned at once,
+		// A pass error is voted 1 at the next gate, not returned at once,
 		// so no peer is left waiting on this node.
 		var failed error
 		for pass := PassCopy; pass <= numPasses; pass++ {
 			// Phase gate: the coordinator's hook result is folded into an
 			// all-reduce, so every node learns about an abort at the same
 			// boundary and none starts the next pass.
-			vote := int64(1)
+			vetoes := []int64{0}
 			if failed != nil {
-				vote = 0
+				vetoes[0] = 1
 			} else if ep.ID() == coordinator && opt.Hook != nil {
 				if err := opt.Hook(pass); err != nil {
-					vote = 0
+					vetoes[0] = 1
 				}
 			}
-			cont, err := coll.AllReduceMin(vote)
-			if err != nil {
+			if err := coll.AllReduceSum(vetoes); err != nil {
 				return errors.Join(failed, fmt.Errorf("cluster: migration %s gate on node %d: %w", pass, ep.ID(), err))
 			}
 			if failed != nil {
 				return failed
 			}
-			if cont == 0 {
+			if vetoes[0] > 0 {
 				return fmt.Errorf("%w (before %s)", ErrMigrationAborted, pass)
 			}
 			if pass == numPasses {
@@ -169,15 +168,14 @@ func RunMigration(f Fabric, peer func(n NodeID) MigratePeer, opt MigrateOptions)
 			}
 		}
 		ok, detail := p.Verdict()
-		vote := int64(1)
+		mismatches := []int64{0}
 		if !ok {
-			vote = 0
+			mismatches[0] = 1
 		}
-		global, err := coll.AllReduceMin(vote)
-		if err != nil {
+		if err := coll.AllReduceSum(mismatches); err != nil {
 			return fmt.Errorf("cluster: migration verdict on node %d: %w", ep.ID(), err)
 		}
-		if global == 0 {
+		if mismatches[0] > 0 {
 			if !ok {
 				return fmt.Errorf("%w on node %d: %s", ErrMigrationVerify, ep.ID(), detail)
 			}

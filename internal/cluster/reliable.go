@@ -556,37 +556,12 @@ func (e *reliableEndpoint) Broadcast(ch ChannelID, payload []byte) error {
 }
 
 func (e *reliableEndpoint) Recv(ch ChannelID) (Message, error) {
-	opts := &e.fabric.opts
-	var deadline time.Time
-	if opts.RecvTimeout > 0 {
-		deadline = time.Now().Add(opts.RecvTimeout)
-	}
-	box := e.inbox(ch)
-	for {
-		msg, ok, err := box.getWithin(rlPoll)
-		if err != nil {
-			return Message{}, e.translate(err)
-		}
-		if ok {
-			return msg, nil
-		}
-		if e.firstDown() >= 0 {
-			return Message{}, e.downError()
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return Message{}, fmt.Errorf("%w: recv on channel %d after %v",
-				ErrTimeout, ch, opts.RecvTimeout)
-		}
-	}
+	return e.RecvCtx(context.Background(), ch)
 }
 
+// RecvCtx is a poll loop, because it must notice peers going down; a
+// cancellation wakes the wait at once.
 func (e *reliableEndpoint) RecvCtx(ctx context.Context, ch ChannelID) (Message, error) {
-	if ctx.Done() == nil {
-		return e.Recv(ch)
-	}
-	// The reliable Recv is already a poll loop (it must notice peers
-	// going down); adding a ctx check per iteration bounds cancellation
-	// latency to rlPoll.
 	opts := &e.fabric.opts
 	var deadline time.Time
 	if opts.RecvTimeout > 0 {
@@ -594,7 +569,7 @@ func (e *reliableEndpoint) RecvCtx(ctx context.Context, ch ChannelID) (Message, 
 	}
 	box := e.inbox(ch)
 	for {
-		msg, ok, err := box.getWithin(rlPoll)
+		msg, ok, err := box.getWithin(ctx, rlPoll)
 		if err != nil {
 			return Message{}, e.translate(err)
 		}

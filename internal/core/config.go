@@ -46,7 +46,10 @@ type Config struct {
 	Ingest ingest.Config
 	// Fabric selects the transport.
 	Fabric FabricKind
-	// MailboxBuffer bounds per-channel queued messages (0 = default).
+	// MailboxBuffer must be 0, which leaves every mailbox unbounded. The
+	// query kernel relies on the paper's non-blocking sends (§4.2): a
+	// node sends its whole fringe share before it receives, so bounded
+	// mailboxes wedge queries, and Validate refuses a positive value.
 	MailboxBuffer int
 	// Fault, when non-nil, wraps the fabric in a deterministic
 	// fault-injection layer driven by this plan (drops, duplicates,
@@ -92,6 +95,9 @@ func (c Config) Validate() error {
 	}
 	if c.Fabric != InProc && c.Fabric != TCP {
 		return fmt.Errorf("core: unknown fabric kind %d", c.Fabric)
+	}
+	if c.MailboxBuffer > 0 {
+		return fmt.Errorf("core: mailbox buffer %d: queries need non-blocking sends, so mailboxes must be unbounded (0)", c.MailboxBuffer)
 	}
 	if c.Placement != nil {
 		if b := c.Placement.Placement().Backends; b > c.Backends {

@@ -50,6 +50,7 @@ func TestConfigValidateRejectsBeforeOpening(t *testing.T) {
 		"fault plan without seed":      {Backends: 2, Fault: &cluster.Plan{DropProb: 0.01}},
 		"crash node outside fabric":    {Backends: 1, Fault: &cluster.Plan{Seed: 1, Crashes: []cluster.Crash{{Node: 1, AfterSends: 5}}}},
 		"negative crash node":          {Backends: 2, Fault: &cluster.Plan{Seed: 1, Crashes: []cluster.Crash{{Node: -1, AfterSends: 5}}}},
+		"bounded mailboxes":            {Backends: 4, MailboxBuffer: 4},
 	} {
 		cfg.Backend, cfg.Dir = "grdb", t.TempDir()
 		if err := cfg.Validate(); err == nil {

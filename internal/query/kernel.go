@@ -396,19 +396,22 @@ func (k *kernel) expand() error {
 		}()
 	}
 	if k.chunk > 0 {
-		// Workers ship full chunks themselves while this goroutine keeps
-		// draining arrivals — required under bounded mailboxes, where a
-		// full peer mailbox would otherwise deadlock two nodes sending at
-		// each other.
-		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
-		for waiting := true; waiting; {
-			select {
-			case <-done:
-				waiting = false
-			default:
-				fail(k.poll())
-				time.Sleep(20 * time.Microsecond)
+		// Workers ship full chunks themselves while this goroutine absorbs
+		// arrivals, blocking until one comes or the pool is done. The sends
+		// assume unbounded mailboxes (core.Config.Validate refuses a
+		// bounded one): the exchange still sends before it receives.
+		pool, poolDone := context.WithCancel(k.ctx)
+		go func() { wg.Wait(); poolDone() }()
+		for {
+			msg, err := k.ep.RecvCtx(pool, k.qc.fringe)
+			if err == nil {
+				err = k.absorb(msg.Payload)
+			} else if pool.Err() != nil && k.ctx.Err() == nil {
+				break
+			}
+			if err != nil {
+				fail(err)
+				break
 			}
 		}
 	}
@@ -558,47 +561,31 @@ func (k *kernel) exchange() error {
 	return nil
 }
 
-// settle is the level barrier: reductions decide found, empty and dropped
-// at identical points on every node (the paper's termination conditions).
+// settle is the level barrier: one vector reduction of {found, next
+// fringe size, drops} lets every node decide the paper's termination
+// conditions at the same point. A node that hit a replica-less shard
+// never returns mid-level — peers would be left waiting at the exchange —
+// so drops are only acted on here, by every node at once.
 func (k *kernel) settle() (bool, error) {
-	if k.tr.hasDest {
-		var found int64
-		if k.main.found {
-			found = 1
-		}
-		foundGlobal, err := k.coll.AllReduceMax(found)
-		if err != nil {
-			return false, err
-		}
-		k.levels = k.level
-		if foundGlobal > 0 {
-			// Found at level L is exact even with drops: a dropped vertex
-			// could only have yielded paths of length >= L+1.
-			k.found = true
-			return false, nil
-		}
+	v := []int64{0, int64(len(k.fringe)), k.main.dropped}
+	if k.main.found {
+		v[0] = 1
 	}
-	total, err := k.coll.AllReduceSum(int64(len(k.fringe)))
-	if err != nil {
+	if err := k.coll.AllReduceSum(v); err != nil {
 		return false, err
 	}
 	k.levels = k.level
-	// Coordinated drop check: on a partial roster every node runs one
-	// extra reduction so they all learn — at the same point in the
-	// collective schedule — whether any peer hit a replica-less shard, and
-	// either all fail or all continue. Never checked mid-level: a
-	// unilateral return would leave peers waiting at the exchange.
-	if k.rst.partial() {
-		dropTotal, err := k.coll.AllReduceSum(k.main.dropped)
-		if err != nil {
-			return false, err
-		}
-		if dropTotal > 0 && !k.tr.AllowPartial {
-			return false, fmt.Errorf("query: level %d dropped %d fringe vertices: %w",
-				k.level, dropTotal, ErrNoLiveReplica)
-		}
+	if k.tr.hasDest && v[0] > 0 {
+		// Found at level L is exact even with drops: a dropped vertex
+		// could only have yielded paths of length >= L+1.
+		k.found = true
+		return false, nil
 	}
-	return total > 0, nil
+	if v[2] > 0 && !k.tr.AllowPartial {
+		return false, fmt.Errorf("query: level %d dropped %d fringe vertices: %w",
+			k.level, v[2], ErrNoLiveReplica)
+	}
+	return v[1] > 0, nil
 }
 
 // step runs one level and reports whether the traversal continues. After
