@@ -36,7 +36,7 @@ chaos:
 # MSSG_CRASH_STRIDE=N to subsample the sweep.
 crash:
 	$(GO) test -race -count=1 -run 'TestKillAtEverySyncpoint|TestCrashDuringRecovery|TestTorn' ./internal/crash
-	$(GO) test -race -count=1 -run 'TestIngestCrashResumeSweep' ./internal/ingest
+	$(GO) test -race -count=1 -run 'TestIngestCrashResumeSweep|TestFailedWindowIsNotRemembered' ./internal/ingest
 
 # Replication/failover conformance suite: replica-reroute equality,
 # all-replicas-dead degradation, and the mid-query kill scenarios,

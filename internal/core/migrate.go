@@ -1,5 +1,5 @@
 // Elastic topology at the engine level: node join, planned drain, and
-// the generic migrate/resume/abort operations, all delegating to
+// resume/abort of a pending migration, all delegating to
 // internal/ingest's live migration over this engine's fabric and
 // databases. Queries keep running throughout — they route through the
 // placement holder, which flips only at epoch commit.
@@ -37,15 +37,6 @@ func (e *Engine) placement(cfg *ingest.MigrationConfig) (*ingest.PlacementHolder
 		cfg.Durable = cfg.Durable || e.durable()
 	}
 	return e.cfg.Placement, nil
-}
-
-// Migrate live-migrates the cluster to target: durable pending intent,
-// bulk copy, catch-up, destination-side verify, epoch commit. On error
-// the committed epoch stays authoritative and the pending record makes
-// the migration resumable (ResumeMigration) or abortable
-// (AbortMigration).
-func (e *Engine) Migrate(target ingest.Placement, cfg ingest.MigrationConfig) (ingest.MigrationStats, error) {
-	return e.migrate(cfg, func(*ingest.PlacementHolder) (ingest.Placement, error) { return target, nil })
 }
 
 // Join adds node n to the cluster: the next epoch's placement includes

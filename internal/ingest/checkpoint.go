@@ -4,16 +4,82 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"time"
+
+	"mssg/internal/graph"
+	"mssg/internal/graphdb"
+	"mssg/internal/obs"
 )
 
-// Back-ends that sit on a durable GraphDB (one implementing
-// graphdb.Checkpointer) persist their window dedup-set with every
-// database checkpoint. After a crash, the restarted back-end reloads the
-// set and discards any window it had already stored — so a front-end can
-// blindly re-ship its whole stream and ingestion stays exactly-once: a
-// window is either in the last committed checkpoint (skipped as a
-// duplicate) or it isn't (stored again along with the dedup entry, both
-// committed atomically by the next Flush).
+// applier applies shipped windows to one database exactly once, for
+// ingest's store filter and for a live migration's destination alike. It
+// owns the set of applied window ids and, when durable, the
+// graphdb.Checkpointer that persists the set: commit stages the set and
+// flushes, so the set becomes durable together with the edges stored
+// before it. After a crash the restarted back-end reloads the set and
+// skips every window the last commit covers; a sender can blindly
+// re-ship its whole stream, and any window not covered is stored again.
+type applier struct {
+	db     graphdb.Graph
+	seen   map[uint64]struct{}
+	ckpt   graphdb.Checkpointer // nil unless durable
+	mStore *obs.Histogram       // StoreEdges latency; nil records nothing
+}
+
+// openApplier returns db's applier. When durable it loads the set of the
+// last commit, and fails if db cannot checkpoint; what names the caller
+// in that error.
+func openApplier(db graphdb.Graph, durable bool, what string) (*applier, error) {
+	a := &applier{db: db, seen: make(map[uint64]struct{})}
+	if !durable {
+		return a, nil
+	}
+	ck, ok := db.(graphdb.Checkpointer)
+	if !ok {
+		return nil, fmt.Errorf("ingest: durable %s needs a database implementing graphdb.Checkpointer, got %T", what, db)
+	}
+	blob, err := ck.GetCheckpoint()
+	if err != nil {
+		return nil, err
+	}
+	if a.seen, err = decodeSeen(blob); err != nil {
+		return nil, err
+	}
+	a.ckpt = ck
+	return a, nil
+}
+
+// apply decodes one window payload and stores its edges, unless the
+// window was applied before (dup). The id is recorded only once
+// StoreEdges has succeeded, so a window whose store failed is stored
+// when it is re-shipped instead of being skipped as a duplicate.
+func (a *applier) apply(payload []byte) (edges []graph.Edge, dup bool, err error) {
+	frontend, seq, edges, err := decodeWindow(payload)
+	if err != nil {
+		return nil, false, err
+	}
+	key := windowKey(frontend, seq)
+	if _, ok := a.seen[key]; ok {
+		return nil, true, nil
+	}
+	start := time.Now()
+	if err := a.db.StoreEdges(edges); err != nil {
+		return nil, false, err
+	}
+	a.mStore.ObserveSince(start)
+	a.seen[key] = struct{}{}
+	return edges, false, nil
+}
+
+// commit stages the applied set, when durable, and flushes the database.
+func (a *applier) commit() error {
+	if a.ckpt != nil {
+		if err := a.ckpt.SetCheckpoint(encodeSeen(a.seen)); err != nil {
+			return err
+		}
+	}
+	return a.db.Flush()
+}
 
 // ckptMagic versions the checkpoint blob layout.
 const ckptMagic = "ICK1"

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -104,6 +105,88 @@ func TestDurableIngestResumesFromCheckpoint(t *testing.T) {
 	if deg != 2 {
 		t.Errorf("Degree(1) = %d, want 2 (re-shipped window double-stored)", deg)
 	}
+}
+
+// TestFailedWindowIsNotRemembered: a window whose StoreEdges fails must
+// not enter the dedup set. The runtime finalizes a store filter even
+// after Process failed, so a failed window recorded as applied would be
+// checkpointed and then skipped as a duplicate when it is re-shipped,
+// losing its edges.
+func TestFailedWindowIsNotRemembered(t *testing.T) {
+	dir := t.TempDir()
+	open := func() graphdb.Graph {
+		db, err := grdb.Open(graphdb.Options{
+			Dir:        dir,
+			Levels:     []graphdb.LevelSpec{{SubBlockCap: 2, BlockBytes: 256}, {SubBlockCap: 4, BlockBytes: 256}, {SubBlockCap: 8, BlockBytes: 256}},
+			Durability: graphdb.DurabilityFull,
+		})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		return db
+	}
+	w1 := encodeWindow(0, 1, []graph.Edge{{Src: 1, Dst: 2}, {Src: 1, Dst: 3}})
+	w2 := encodeWindow(0, 2, []graph.Edge{{Src: 2, Dst: 4}})
+
+	db := open()
+	failing := &failNthStore{Graph: db, Checkpointer: db.(graphdb.Checkpointer), n: 2}
+	sf := &storeFilter{cfg: Config{Durable: true}, db: failing, stats: &Stats{}}
+	if err := sf.Init(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := sf.apply(w1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sf.apply(w2); err == nil {
+		t.Fatal("second StoreEdges did not fail")
+	}
+	if err := sf.Finalize(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2 := open()
+	defer db2.Close()
+	stats := &Stats{}
+	sf2 := &storeFilter{cfg: Config{Durable: true}, db: db2, stats: stats}
+	if err := sf2.Init(nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range [][]byte{w1, w2} {
+		if err := sf2.apply(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sf2.Finalize(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.DupBlocks.Load(); got != 1 {
+		t.Errorf("DupBlocks = %d, want 1 (only w1 was applied)", got)
+	}
+	if got := stats.EdgesStored.Load(); got != 1 {
+		t.Errorf("EdgesStored = %d, want 1 (w2 re-applied)", got)
+	}
+	if deg, err := graphdb.Degree(db2, 2); err != nil || deg != 1 {
+		t.Errorf("Degree(2) = %d, %v; want 1 (failed window lost)", deg, err)
+	}
+}
+
+// failNthStore fails the n-th StoreEdges call before it touches the
+// database, and forwards everything else.
+type failNthStore struct {
+	graphdb.Graph
+	graphdb.Checkpointer
+	n, calls int
+}
+
+func (f *failNthStore) StoreEdges(edges []graph.Edge) error {
+	f.calls++
+	if f.calls == f.n {
+		return errors.New("injected StoreEdges failure")
+	}
+	return f.Graph.StoreEdges(edges)
 }
 
 // TestDurableIngestNeedsCheckpointer: hashdb has no durable checkpoint

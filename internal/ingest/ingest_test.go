@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"fmt"
 	"io"
 	"reflect"
 	"sort"
@@ -11,6 +12,7 @@ import (
 	"mssg/internal/graph"
 	"mssg/internal/graphdb"
 	"mssg/internal/graphdb/hashdb"
+	"mssg/internal/obs"
 )
 
 func TestVertexModPolicy(t *testing.T) {
@@ -288,4 +290,76 @@ func TestInvalidEdgeFailsIngestion(t *testing.T) {
 	if err := datacutter.NewRuntime(fab).Run(g); err == nil {
 		t.Fatal("invalid edge ingested without error")
 	}
+}
+
+// TestWindowFraming pins how many windows each shipping path cuts and
+// where they go, for a small deterministic input: per-destination edge
+// counts, windows shipped, secondary copies and standby windows stored,
+// unreplicated and k = 2 rendezvous, plus the window count of a live
+// join. Any change to how edges are grouped into windows moves one of
+// these numbers.
+func TestWindowFraming(t *testing.T) {
+	const backends = 3
+	edges := migTestEdges(101, 30, 3)
+	reg := obs.Default()
+	destEdges := func() []int64 {
+		out := make([]int64, backends)
+		for d := range out {
+			out[d] = reg.Counter(fmt.Sprintf("ingest.dest_%02d.edges", d)).Value()
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name                                  string
+		cfg                                   Config
+		blocks, replicaBlocks, replicaWindows int64
+		dest                                  []int64
+	}{
+		{name: "unreplicated", cfg: Config{FrontEnds: 1, WindowEdges: 4, AddReverse: true},
+			blocks: 51, replicaBlocks: 0, replicaWindows: 0, dest: []int64{58, 69, 72}},
+		{name: "rendezvous-k2", cfg: Config{FrontEnds: 1, WindowEdges: 4, AddReverse: true,
+			Policy: func() Policy { return NewRendezvous(backends, 2, 11) }, ReplicationFactor: 2},
+			blocks: 53, replicaBlocks: 53, replicaWindows: 53, dest: []int64{50, 64, 85}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := destEdges()
+			_, stats := runIngestion(t, tc.cfg, edges, backends)
+			after := destEdges()
+			dest := make([]int64, backends)
+			for d := range dest {
+				dest[d] = after[d] - before[d]
+			}
+			got := []int64{stats.Blocks.Load(), stats.ReplicaBlocks.Load(), stats.ReplicaWindows.Load()}
+			if want := []int64{tc.blocks, tc.replicaBlocks, tc.replicaWindows}; !reflect.DeepEqual(got, want) {
+				t.Errorf("{Blocks, ReplicaBlocks, ReplicaWindows} = %v, want %v", got, want)
+			}
+			if !reflect.DeepEqual(dest, tc.dest) {
+				t.Errorf("ingest.dest_NN.edges = %v, want %v", dest, tc.dest)
+			}
+		})
+	}
+
+	t.Run("join", func(t *testing.T) {
+		base := Placement{Policy: "rendezvous", Backends: 3, Replication: 2, Seed: 42}
+		holder, err := NewPlacementHolder("", Manifest{Committed: base})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oldRP, _ := replicaPolicyFor(base)
+		dbs := hashCluster(4)
+		seedReplicated(t, dbs, oldRP, migTestEdges(400, 60, 7))
+		f := cluster.NewInProc(4, 0)
+		defer f.Close()
+		target, err := holder.JoinTarget(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := Migrate(f, dbs, holder, target, MigrationConfig{WindowEdges: 8})
+		if err != nil {
+			t.Fatalf("Migrate: %v", err)
+		}
+		if stats.Windows != 26 {
+			t.Errorf("MigrationStats.Windows = %d, want 26 (%+v)", stats.Windows, stats)
+		}
+	})
 }

@@ -14,11 +14,11 @@
 // newReplicas(v) ∖ oldReplicas(v), and HRW scoring guarantees that set
 // is empty unless the topology delta touched v's replica ranking. The
 // old primary of each vertex is the unique shipper, so exactly one
-// source streams each moving shard. Data rides the same window codec as
-// ingest — {frontend, seq} headers with the migration's epoch folded
-// into the id — so destination dedup (and, on durable back-ends, the
-// checkpoint committed atomically with the data) gives exactly-once
-// application across retries, crashes, and resumes.
+// source streams each moving shard. Data rides ingest's windower and
+// applier — one window per destination, {frontend, seq} ids with the
+// migration's epoch folded in — so the destination's dedup (and, on
+// durable back-ends, the checkpoint committed with the data) gives
+// exactly-once application across retries, crashes, and resumes.
 package ingest
 
 import (
@@ -51,7 +51,7 @@ type MigrationConfig struct {
 
 func (c MigrationConfig) windowEdges() int {
 	if c.WindowEdges <= 0 {
-		return 4096
+		return defaultWindowEdges
 	}
 	return c.WindowEdges
 }
@@ -143,11 +143,12 @@ func summarize(db graphdb.Graph, v graph.VertexID, scratch *graph.AdjList, seen 
 
 // migrationPeer implements cluster.MigratePeer for one back-end node.
 // The transport calls Ship and Receive concurrently; mu serializes the
-// destination-side state (dedup-set, verify accumulators) and, together
+// destination-side state (applier, verify accumulators) and, together
 // with the back-end's own reader/writer discipline, the database writes.
 type migrationPeer struct {
 	self  cluster.NodeID
 	db    graphdb.Graph
+	nodes int // fabric nodes: every destination id is below it
 	oldRP ReplicaPolicy
 	newRP ReplicaPolicy
 	epoch uint64 // target epoch
@@ -170,8 +171,7 @@ type migrationPeer struct {
 
 	mu sync.Mutex
 	// Destination side.
-	seen      map[uint64]struct{}
-	ckpt      graphdb.Checkpointer
+	app       *applier
 	recvMoved map[graph.VertexID]bool // vertices this node received windows for
 	expect    map[cluster.NodeID]*verifyExpect
 	verdict   string // non-empty = failed
@@ -187,29 +187,18 @@ type verifyExpect struct {
 	sealed   bool
 }
 
-func newMigrationPeer(self cluster.NodeID, db graphdb.Graph, oldRP, newRP ReplicaPolicy, epoch uint64, cfg MigrationConfig, stats *migrationStatsAtomic) (*migrationPeer, error) {
-	p := &migrationPeer{
-		self: self, db: db, oldRP: oldRP, newRP: newRP, epoch: epoch, cfg: cfg, stats: stats,
+func newMigrationPeer(self cluster.NodeID, db graphdb.Graph, nodes int, oldRP, newRP ReplicaPolicy, epoch uint64, cfg MigrationConfig, stats *migrationStatsAtomic) (*migrationPeer, error) {
+	app, err := openApplier(db, cfg.Durable, "migration")
+	if err != nil {
+		return nil, err
+	}
+	return &migrationPeer{
+		self: self, db: db, nodes: nodes, oldRP: oldRP, newRP: newRP, epoch: epoch, cfg: cfg, stats: stats,
 		shipped:   make(map[cluster.NodeID]map[graph.VertexID]int),
-		seen:      make(map[uint64]struct{}),
+		app:       app,
 		recvMoved: make(map[graph.VertexID]bool),
 		expect:    make(map[cluster.NodeID]*verifyExpect),
-	}
-	if cfg.Durable {
-		ck, ok := db.(graphdb.Checkpointer)
-		if !ok {
-			return nil, fmt.Errorf("ingest: durable migration needs a database implementing graphdb.Checkpointer, got %T", db)
-		}
-		p.ckpt = ck
-		blob, err := ck.GetCheckpoint()
-		if err != nil {
-			return nil, err
-		}
-		if p.seen, err = decodeSeen(blob); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	}, nil
 }
 
 // movesFor returns the destinations vertex v must be copied to: its new
@@ -250,50 +239,19 @@ func (p *migrationPeer) Ship(pass cluster.MigratePass, emit func(cluster.NodeID,
 	return fmt.Errorf("ingest: unknown migration pass %v", pass)
 }
 
-// windowBatcher accumulates per-destination edge windows and emits them
-// with fresh migration window ids.
-type windowBatcher struct {
-	p       *migrationPeer
-	emit    func(cluster.NodeID, []byte) error
-	pending map[cluster.NodeID][]graph.Edge
-}
-
-func (w *windowBatcher) add(dest cluster.NodeID, e graph.Edge) error {
-	w.pending[dest] = append(w.pending[dest], e)
-	if len(w.pending[dest]) >= w.p.cfg.windowEdges() {
-		return w.flush(dest)
-	}
-	return nil
-}
-
-func (w *windowBatcher) flush(dest cluster.NodeID) error {
-	edges := w.pending[dest]
-	if len(edges) == 0 {
-		return nil
-	}
-	w.p.windowN++
-	frontend, seq := migWindowID(w.p.self, w.p.epoch, w.p.windowN)
-	w.p.stats.windows.Add(1)
-	delete(w.pending, dest)
-	return w.emit(dest, encodeWindow(frontend, seq, edges))
-}
-
-func (w *windowBatcher) flushAll() error {
-	dests := make([]cluster.NodeID, 0, len(w.pending))
-	for d := range w.pending {
-		dests = append(dests, d)
-	}
-	sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
-	for _, d := range dests {
-		if err := w.flush(d); err != nil {
-			return err
-		}
-	}
-	return nil
+// windower returns the windower a pass ships through: one window per
+// destination, emitted under this source's migration window ids.
+func (p *migrationPeer) windower(emit func(cluster.NodeID, []byte) error) *windower {
+	return newWindower(p.nodes, p.cfg.windowEdges(), &p.stats.windows,
+		func() (uint32, uint64) {
+			p.windowN++
+			return migWindowID(p.self, p.epoch, p.windowN)
+		},
+		func(dest cluster.NodeID, payload []byte, _ bool) error { return emit(dest, payload) })
 }
 
 func (p *migrationPeer) shipCopy(emit func(cluster.NodeID, []byte) error) error {
-	w := &windowBatcher{p: p, emit: emit, pending: make(map[cluster.NodeID][]graph.Edge)}
+	w := p.windower(emit)
 	adj := graph.NewAdjList(256)
 	// Collect the moving vertices first, then read each adjacency under
 	// its own short lock hold, so emission (which can block on the
@@ -320,8 +278,9 @@ func (p *migrationPeer) shipCopy(emit func(cluster.NodeID, []byte) error) error 
 			return err
 		}
 		for _, dest := range dests {
+			win := w.to(dest)
 			for _, u := range adj.IDs() {
-				if err := w.add(dest, graph.Edge{Src: v, Dst: u}); err != nil {
+				if err := w.add(win, graph.Edge{Src: v, Dst: u}); err != nil {
 					return err
 				}
 			}
@@ -333,7 +292,7 @@ func (p *migrationPeer) shipCopy(emit func(cluster.NodeID, []byte) error) error 
 			p.stats.movedEdges.Add(int64(adj.Len()))
 		}
 	}
-	return w.flushAll()
+	return w.flush()
 }
 
 // shipCatchup re-reads every moved vertex and ships the adjacency
@@ -341,9 +300,10 @@ func (p *migrationPeer) shipCopy(emit func(cluster.NodeID, []byte) error) error 
 // copy ran. Adjacency lists are append-only, so the offset is a correct
 // resume point.
 func (p *migrationPeer) shipCatchup(emit func(cluster.NodeID, []byte) error) error {
-	w := &windowBatcher{p: p, emit: emit, pending: make(map[cluster.NodeID][]graph.Edge)}
+	w := p.windower(emit)
 	adj := graph.NewAdjList(256)
 	for _, dest := range p.shippedDests() {
+		win := w.to(dest)
 		moved := p.shipped[dest]
 		for _, v := range sortedVertices(moved) {
 			p.dbMu.Lock()
@@ -354,7 +314,7 @@ func (p *migrationPeer) shipCatchup(emit func(cluster.NodeID, []byte) error) err
 				return err
 			}
 			for _, u := range adj.IDs()[min(moved[v], adj.Len()):] {
-				if err := w.add(dest, graph.Edge{Src: v, Dst: u}); err != nil {
+				if err := w.add(win, graph.Edge{Src: v, Dst: u}); err != nil {
 					return err
 				}
 				p.stats.catchupEdges.Add(1)
@@ -364,7 +324,7 @@ func (p *migrationPeer) shipCatchup(emit func(cluster.NodeID, []byte) error) err
 			}
 		}
 	}
-	return w.flushAll()
+	return w.flush()
 }
 
 // shipVerify streams, per destination, the moved vertex list in chunks
@@ -438,22 +398,16 @@ func (p *migrationPeer) Receive(pass cluster.MigratePass, from cluster.NodeID, p
 	if pass == cluster.PassVerify {
 		return p.receiveVerify(from, payload)
 	}
-	frontend, seq, edges, err := decodeWindow(payload)
-	if err != nil {
-		return err
-	}
-	key := windowKey(frontend, seq)
-	if _, dup := p.seen[key]; dup {
-		p.stats.dupWindows.Add(1)
-		return nil
-	}
 	p.dbMu.Lock()
-	err = p.db.StoreEdges(edges)
+	edges, dup, err := p.app.apply(payload)
 	p.dbMu.Unlock()
 	if err != nil {
 		return err
 	}
-	p.seen[key] = struct{}{}
+	if dup {
+		p.stats.dupWindows.Add(1)
+		return nil
+	}
 	for _, e := range edges {
 		p.recvMoved[e.Src] = true
 	}
@@ -508,13 +462,10 @@ func (p *migrationPeer) PassDone(pass cluster.MigratePass) error {
 			return err
 		}
 	}
-	if p.ckpt != nil {
+	if p.cfg.Durable {
 		p.dbMu.Lock()
 		defer p.dbMu.Unlock()
-		if err := p.ckpt.SetCheckpoint(encodeSeen(p.seen)); err != nil {
-			return err
-		}
-		return p.db.Flush()
+		return p.app.commit()
 	}
 	return nil
 }
@@ -637,7 +588,7 @@ func Migrate(f cluster.Fabric, dbs []graphdb.Graph, holder *PlacementHolder, tar
 	stats := &migrationStatsAtomic{}
 	peers := make(map[cluster.NodeID]*migrationPeer, len(parts))
 	for _, n := range parts {
-		p, err := newMigrationPeer(n, dbs[n], oldRP, newRP, target.Epoch, cfg, stats)
+		p, err := newMigrationPeer(n, dbs[n], len(dbs), oldRP, newRP, target.Epoch, cfg, stats)
 		if err != nil {
 			return zero, err
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -38,7 +39,7 @@ type Config struct {
 	// <= 1 means no replication. Values > 1 require a policy
 	// implementing ReplicaPolicy (rendezvous); the back-end dedup set is
 	// per node, so each replica applies a re-shipped window exactly
-	// once. Capped at 6.
+	// once.
 	ReplicationFactor int
 	// ShipRetries is how many times a front-end re-ships a window after
 	// an ambiguous (cluster.ErrTimeout) send failure. The back-end
@@ -76,7 +77,7 @@ func (c Config) shipRetries() int {
 
 func (c Config) windowEdges() int {
 	if c.WindowEdges <= 0 {
-		return 4096
+		return defaultWindowEdges
 	}
 	return c.WindowEdges
 }
@@ -178,9 +179,117 @@ func windowKey(frontend uint32, seq uint64) uint64 {
 	return uint64(frontend)<<48 | seq&(1<<48-1)
 }
 
+// defaultWindowEdges is the window size of ingest and live migration
+// when their config leaves it unset.
+const defaultWindowEdges = 4096
+
+// window is one destination list's in-progress edge window.
+type window struct {
+	dests []cluster.NodeID
+	edges []graph.Edge
+	start time.Time // first append since the last ship
+}
+
+// windower cuts an edge stream into windows keyed by destination list:
+// [policy.Route(e)] for unreplicated ingest, the source's replica set for
+// replicated ingest, [dest] for live migration. Edges that share a
+// primary can have different secondaries, so open[p] holds the windows
+// whose list starts with p, sorted by list; its first entry is the
+// single-destination window [p].
+type windower struct {
+	size    int
+	open    [][]*window
+	shipped *atomic.Int64
+	// nextID draws a fresh window id. send hands one payload to one
+	// member of the list; secondary is set for every member after the
+	// first.
+	nextID func() (frontend uint32, seq uint64)
+	send   func(dest cluster.NodeID, payload []byte, secondary bool) error
+	// Window metrics; nil histograms record nothing.
+	mEdges, mBuild, mShip *obs.Histogram
+}
+
+func newWindower(nodes, size int, shipped *atomic.Int64, nextID func() (uint32, uint64),
+	send func(cluster.NodeID, []byte, bool) error) *windower {
+	w := &windower{size: size, open: make([][]*window, nodes), shipped: shipped, nextID: nextID, send: send}
+	for p := range w.open {
+		w.open[p] = []*window{{dests: []cluster.NodeID{cluster.NodeID(p)}}}
+	}
+	return w
+}
+
+// to returns the single-destination window [d].
+func (w *windower) to(d cluster.NodeID) *window { return w.open[d][0] }
+
+// toAll returns the window of destination list dests, opening it on
+// first use. dests[0] must be a node below the windower's node count.
+func (w *windower) toAll(dests []cluster.NodeID) *window {
+	list := w.open[dests[0]]
+	i, found := slices.BinarySearchFunc(list, dests, func(win *window, d []cluster.NodeID) int {
+		return slices.Compare(win.dests, d)
+	})
+	if !found {
+		list = slices.Insert(list, i, &window{dests: dests})
+		w.open[dests[0]] = list
+	}
+	return list[i]
+}
+
+// add appends e to win and ships win once it is full.
+func (w *windower) add(win *window, e graph.Edge) error {
+	if len(win.edges) == 0 {
+		win.start = time.Now()
+	}
+	win.edges = append(win.edges, e)
+	if len(win.edges) >= w.size {
+		return w.ship(win)
+	}
+	return nil
+}
+
+// ship encodes win once, under one fresh id, and sends it to every
+// member of its destination list, so any member can serve the shard and
+// per-node dedup keeps each copy exactly-once.
+func (w *windower) ship(win *window) error {
+	if len(win.edges) == 0 {
+		return nil
+	}
+	w.mEdges.Observe(int64(len(win.edges)))
+	w.mBuild.ObserveSince(win.start)
+	frontend, seq := w.nextID()
+	payload := encodeWindow(frontend, seq, win.edges)
+	win.edges = win.edges[:0]
+	w.shipped.Add(1)
+	shipStart := time.Now()
+	defer w.mShip.ObserveSince(shipStart)
+	for i, dest := range win.dests {
+		data := payload
+		if i > 0 {
+			// The transport owns each sent buffer; secondaries get copies.
+			data = append([]byte(nil), payload...)
+		}
+		if err := w.send(dest, data, i > 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// flush ships every partial window in ascending destination order.
+func (w *windower) flush() error {
+	for _, list := range w.open {
+		for _, win := range list {
+			if err := w.ship(win); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // ingestFilter is the front-end filter: it reads its partition of the
 // edge stream, declusters each edge (both orientations when AddReverse),
-// and ships per-destination windows on the directed "out" stream.
+// and ships windows on the directed "out" stream.
 type ingestFilter struct {
 	cfg    Config
 	reader graph.EdgeReader
@@ -189,46 +298,13 @@ type ingestFilter struct {
 
 	copyIdx  int
 	blockSeq uint64
-	windows  [][]graph.Edge
+	// repl is set in replicated mode (cfg.ReplicationFactor > 1): each
+	// edge joins the window of its source's ordered replica set.
+	repl ReplicaPolicy
+	win  *windower
 
-	// Replicated mode (cfg.ReplicationFactor > 1): windows accumulate
-	// per ordered replica set rather than per single destination, since
-	// two edges sharing a primary can have different secondaries. Each
-	// group's window ships — with one id — to every member; per-node
-	// dedup keeps each copy exactly-once.
-	repl   ReplicaPolicy
-	groups map[uint64]*replicaGroup
-
-	// windowStart[d] is when window d received its first edge; the
-	// build-latency histogram measures first-append -> ship.
-	windowStart []time.Time
-	mBuild      *obs.Histogram
-	mShip       *obs.Histogram
-	mWinEdges   *obs.Histogram
 	mDestEdges  []*obs.Counter
 	mReplBlocks *obs.Counter
-}
-
-// replicaGroup is one replica set's in-progress window.
-type replicaGroup struct {
-	dests []cluster.NodeID
-	edges []graph.Edge
-	start time.Time
-}
-
-// groupReplicaCap bounds ReplicationFactor so a replica set packs into a
-// 64-bit group key (10 bits per member, backends <= 1024).
-const (
-	groupReplicaCap  = 6
-	groupBackendsCap = 1024
-)
-
-func groupKey(dests []cluster.NodeID) uint64 {
-	var k uint64
-	for _, d := range dests {
-		k = k<<10 | uint64(d)&(groupBackendsCap-1)
-	}
-	return k
 }
 
 // registerSkew publishes ingest.decluster_skew_x1000: the ratio of the
@@ -272,22 +348,23 @@ func (f *ingestFilter) Init(ctx *datacutter.Context) error {
 			return fmt.Errorf("ingest: replication factor %d needs a replica-placing policy (rendezvous), got %s",
 				k, f.policy.Name())
 		}
-		if k > groupReplicaCap || f.cfg.Backends > groupBackendsCap {
-			return fmt.Errorf("ingest: replication supports at most %d replicas over %d backends, got %d/%d",
-				groupReplicaCap, groupBackendsCap, k, f.cfg.Backends)
-		}
 		if got := rp.ReplicationFactor(); got != k {
 			return fmt.Errorf("ingest: policy places %d replicas but config asks for %d", got, k)
 		}
 		f.repl = rp
-		f.groups = make(map[uint64]*replicaGroup)
 	}
-	f.windows = make([][]graph.Edge, f.cfg.Backends)
-	f.windowStart = make([]time.Time, f.cfg.Backends)
+	f.win = newWindower(f.cfg.Backends, f.cfg.windowEdges(), &f.stats.Blocks,
+		func() (uint32, uint64) {
+			f.blockSeq++
+			return uint32(f.copyIdx), f.blockSeq
+		},
+		func(dest cluster.NodeID, payload []byte, secondary bool) error {
+			return f.send(out, dest, payload, secondary)
+		})
 	reg := obs.Default()
-	f.mBuild = reg.Histogram("ingest.window_build_ns")
-	f.mShip = reg.Histogram("ingest.window_ship_ns")
-	f.mWinEdges = reg.Histogram("ingest.window_edges")
+	f.win.mBuild = reg.Histogram("ingest.window_build_ns")
+	f.win.mShip = reg.Histogram("ingest.window_ship_ns")
+	f.win.mEdges = reg.Histogram("ingest.window_edges")
 	f.mDestEdges = make([]*obs.Counter, f.cfg.Backends)
 	for d := range f.mDestEdges {
 		f.mDestEdges[d] = reg.Counter(fmt.Sprintf("ingest.dest_%02d.edges", d))
@@ -297,26 +374,20 @@ func (f *ingestFilter) Init(ctx *datacutter.Context) error {
 	return nil
 }
 
-// ship sends one window, retrying on ambiguous (ErrTimeout) failures —
-// safe because windows carry a unique id and back-ends deduplicate.
-func (f *ingestFilter) ship(out *datacutter.StreamWriter, dest int) error {
-	if len(f.windows[dest]) == 0 {
-		return nil
+// send writes one window payload to dest, re-sending after ambiguous
+// (ErrTimeout) failures — safe because windows carry a unique id and
+// back-ends deduplicate.
+func (f *ingestFilter) send(out *datacutter.StreamWriter, dest cluster.NodeID, payload []byte, secondary bool) error {
+	if secondary {
+		f.stats.ReplicaBlocks.Add(1)
+		f.mReplBlocks.Inc()
 	}
-	f.mWinEdges.Observe(int64(len(f.windows[dest])))
-	f.mBuild.ObserveSince(f.windowStart[dest])
-	f.blockSeq++
-	payload := encodeWindow(uint32(f.copyIdx), f.blockSeq, f.windows[dest])
-	f.windows[dest] = f.windows[dest][:0]
-	f.stats.Blocks.Add(1)
-	shipStart := time.Now()
-	defer f.mShip.ObserveSince(shipStart)
 	var err error
 	for attempt := 0; attempt <= f.cfg.shipRetries(); attempt++ {
 		if attempt > 0 {
 			f.stats.Retries.Add(1)
 		}
-		err = out.WriteTo(dest, datacutter.Buffer{Data: payload})
+		err = out.WriteTo(int(dest), datacutter.Buffer{Data: payload})
 		if err == nil || !errors.Is(err, cluster.ErrTimeout) {
 			return err
 		}
@@ -324,94 +395,29 @@ func (f *ingestFilter) ship(out *datacutter.StreamWriter, dest int) error {
 	return err
 }
 
-// shipGroup ships one replica group's window to every member. The same
-// payload (same window id) goes to each, so any member can serve the
-// shard; retries follow the same ambiguous-timeout rule as ship, and
-// per-node dedup makes arrivals exactly-once everywhere.
-func (f *ingestFilter) shipGroup(out *datacutter.StreamWriter, g *replicaGroup) error {
-	if len(g.edges) == 0 {
-		return nil
-	}
-	f.mWinEdges.Observe(int64(len(g.edges)))
-	f.mBuild.ObserveSince(g.start)
-	f.blockSeq++
-	payload := encodeWindow(uint32(f.copyIdx), f.blockSeq, g.edges)
-	g.edges = g.edges[:0]
-	f.stats.Blocks.Add(1)
-	shipStart := time.Now()
-	defer f.mShip.ObserveSince(shipStart)
-	for i, dest := range g.dests {
-		data := payload
-		if i > 0 {
-			// The stream owns each sent buffer; secondaries get copies.
-			data = append([]byte(nil), payload...)
-			f.stats.ReplicaBlocks.Add(1)
-			f.mReplBlocks.Inc()
-		}
-		var err error
-		for attempt := 0; attempt <= f.cfg.shipRetries(); attempt++ {
-			if attempt > 0 {
-				f.stats.Retries.Add(1)
-			}
-			err = out.WriteTo(int(dest), datacutter.Buffer{Data: data})
-			if err == nil || !errors.Is(err, cluster.ErrTimeout) {
-				break
-			}
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// routeReplicated accumulates e into its replica set's window.
-func (f *ingestFilter) routeReplicated(out *datacutter.StreamWriter, e graph.Edge) error {
-	dests := f.repl.Replicas(e.Src)
-	if len(dests) == 0 || int(dests[0]) < 0 || int(dests[0]) >= f.cfg.Backends {
-		return fmt.Errorf("ingest: policy %s placed %v of %d backends", f.policy.Name(), dests, f.cfg.Backends)
-	}
-	g := f.groups[groupKey(dests)]
-	if g == nil {
-		g = &replicaGroup{dests: dests}
-		f.groups[groupKey(dests)] = g
-	}
-	if len(g.edges) == 0 {
-		g.start = time.Now()
-	}
-	g.edges = append(g.edges, e)
-	f.mDestEdges[dests[0]].Inc() // skew tracks primary placement
-	if len(g.edges) >= f.cfg.windowEdges() {
-		return f.shipGroup(out, g)
-	}
-	return nil
-}
-
-func (f *ingestFilter) route(out *datacutter.StreamWriter, e graph.Edge) error {
+// route adds e to its window: the source's replica set when replicated,
+// otherwise the single destination the policy routes it to.
+func (f *ingestFilter) route(e graph.Edge) error {
+	var win *window
 	if f.repl != nil {
-		return f.routeReplicated(out, e)
+		dests := f.repl.Replicas(e.Src)
+		if len(dests) == 0 || int(dests[0]) < 0 || int(dests[0]) >= f.cfg.Backends {
+			return fmt.Errorf("ingest: policy %s placed %v of %d backends", f.policy.Name(), dests, f.cfg.Backends)
+		}
+		win = f.win.toAll(dests)
+	} else {
+		dest := f.policy.Route(e, f.cfg.Backends)
+		if dest < 0 || dest >= f.cfg.Backends {
+			return fmt.Errorf("ingest: policy %s routed to %d of %d", f.policy.Name(), dest, f.cfg.Backends)
+		}
+		win = f.win.to(cluster.NodeID(dest))
 	}
-	dest := f.policy.Route(e, f.cfg.Backends)
-	if dest < 0 || dest >= f.cfg.Backends {
-		return fmt.Errorf("ingest: policy %s routed to %d of %d", f.policy.Name(), dest, f.cfg.Backends)
-	}
-	if len(f.windows[dest]) == 0 {
-		f.windowStart[dest] = time.Now()
-	}
-	f.windows[dest] = append(f.windows[dest], e)
-	f.mDestEdges[dest].Inc()
-	if len(f.windows[dest]) >= f.cfg.windowEdges() {
-		return f.ship(out, dest)
-	}
-	return nil
+	f.mDestEdges[win.dests[0]].Inc() // skew tracks primary placement
+	return f.win.add(win, e)
 }
 
 // Process implements datacutter.Filter.
 func (f *ingestFilter) Process(ctx *datacutter.Context) error {
-	out, err := ctx.Output("out")
-	if err != nil {
-		return err
-	}
 	for {
 		e, err := f.reader.ReadEdge()
 		if err == io.EOF {
@@ -424,45 +430,30 @@ func (f *ingestFilter) Process(ctx *datacutter.Context) error {
 			return err
 		}
 		f.stats.EdgesIn.Add(1)
-		if err := f.route(out, e); err != nil {
+		if err := f.route(e); err != nil {
 			return err
 		}
 		if f.cfg.AddReverse && e.Src != e.Dst {
-			if err := f.route(out, e.Reverse()); err != nil {
+			if err := f.route(e.Reverse()); err != nil {
 				return err
 			}
 		}
 	}
-	// Flush partial windows.
-	for _, g := range f.groups {
-		if err := f.shipGroup(out, g); err != nil {
-			return err
-		}
-	}
-	for dest := range f.windows {
-		if err := f.ship(out, dest); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.win.flush()
 }
 
 // Finalize implements datacutter.Filter.
 func (f *ingestFilter) Finalize(ctx *datacutter.Context) error { return nil }
 
 // storeFilter is the back-end filter: it drains windows from "in" and
-// stores them into its node's GraphDB instance. Windows are deduplicated
-// by id, so a re-shipped or fabric-duplicated window is stored once.
+// applies them to its node's GraphDB instance through an applier, so a
+// re-shipped or fabric-duplicated window is stored once.
 type storeFilter struct {
 	cfg   Config
 	db    graphdb.Graph
 	stats *Stats
 
-	seen map[uint64]struct{}
-	// ckpt is the database's checkpoint interface when cfg.Durable; the
-	// dedup-set is staged through it and committed by db.Flush, making
-	// (window applied, window remembered) one atomic unit.
-	ckpt      graphdb.Checkpointer
+	app       *applier
 	sinceCkpt int
 
 	// Replicated mode: repl and self classify each stored window as a
@@ -470,7 +461,6 @@ type storeFilter struct {
 	repl ReplicaPolicy
 	self int
 
-	mStore    *obs.Histogram
 	mApplied  *obs.Counter
 	mDups     *obs.Counter
 	mReplWins *obs.Counter
@@ -478,21 +468,11 @@ type storeFilter struct {
 
 // Init implements datacutter.Filter.
 func (f *storeFilter) Init(ctx *datacutter.Context) error {
-	f.seen = make(map[uint64]struct{})
-	if f.cfg.Durable {
-		ck, ok := f.db.(graphdb.Checkpointer)
-		if !ok {
-			return fmt.Errorf("ingest: durable ingest needs a database implementing graphdb.Checkpointer, got %T", f.db)
-		}
-		f.ckpt = ck
-		blob, err := ck.GetCheckpoint()
-		if err != nil {
-			return err
-		}
-		if f.seen, err = decodeSeen(blob); err != nil {
-			return err
-		}
+	app, err := openApplier(f.db, f.cfg.Durable, "ingest")
+	if err != nil {
+		return err
 	}
+	f.app = app
 	if f.cfg.replicationFactor() > 1 {
 		if rp, ok := f.cfg.policy().(ReplicaPolicy); ok {
 			f.repl = rp
@@ -500,62 +480,38 @@ func (f *storeFilter) Init(ctx *datacutter.Context) error {
 		}
 	}
 	reg := obs.Default()
-	f.mStore = reg.Histogram("ingest.store_window_ns")
+	f.app.mStore = reg.Histogram("ingest.store_window_ns")
 	f.mApplied = reg.Counter("ingest.windows_applied")
 	f.mDups = reg.Counter("ingest.dup_windows")
 	f.mReplWins = reg.Counter("ingest.replica_windows_stored")
 	return nil
 }
 
-// commitCheckpoint stages the dedup-set and flushes the database, making
-// everything applied so far durable in one atomic step.
-func (f *storeFilter) commitCheckpoint() error {
-	if f.ckpt == nil {
-		return nil
-	}
-	if err := f.ckpt.SetCheckpoint(encodeSeen(f.seen)); err != nil {
-		return err
-	}
-	if err := f.db.Flush(); err != nil {
-		return err
-	}
-	f.sinceCkpt = 0
-	return nil
-}
-
-// apply decodes and stores one window payload, skipping windows this
-// copy has already stored.
+// apply applies one window payload and, when durable, commits every
+// cfg.CheckpointWindows applied windows.
 func (f *storeFilter) apply(data []byte) error {
-	frontend, seq, edges, err := decodeWindow(data)
+	edges, dup, err := f.app.apply(data)
 	if err != nil {
 		return err
 	}
-	key := windowKey(frontend, seq)
-	if _, dup := f.seen[key]; dup {
+	if dup {
 		f.stats.DupBlocks.Add(1)
 		f.mDups.Inc()
 		return nil
 	}
-	f.seen[key] = struct{}{}
 	// Every edge of a replicated window shares one replica set, so the
 	// first edge classifies the whole window as primary or standby here.
-	if f.repl != nil && len(edges) > 0 {
-		if int(f.repl.Replicas(edges[0].Src)[0]) != f.self {
-			f.stats.ReplicaWindows.Add(1)
-			f.mReplWins.Inc()
-		}
+	if f.repl != nil && len(edges) > 0 && int(f.repl.Replicas(edges[0].Src)[0]) != f.self {
+		f.stats.ReplicaWindows.Add(1)
+		f.mReplWins.Inc()
 	}
-	start := time.Now()
-	if err := f.db.StoreEdges(edges); err != nil {
-		return err
-	}
-	f.mStore.ObserveSince(start)
 	f.mApplied.Inc()
 	f.stats.EdgesStored.Add(int64(len(edges)))
-	if f.ckpt != nil {
+	if f.cfg.Durable {
 		f.sinceCkpt++
 		if f.sinceCkpt >= f.cfg.checkpointWindows() {
-			return f.commitCheckpoint()
+			f.sinceCkpt = 0
+			return f.app.commit()
 		}
 	}
 	return nil
@@ -585,10 +541,7 @@ func (f *storeFilter) Process(ctx *datacutter.Context) error {
 // when durable, the final dedup-set — durable and retrievable before the
 // query phase starts.
 func (f *storeFilter) Finalize(ctx *datacutter.Context) error {
-	if f.ckpt != nil {
-		return f.commitCheckpoint()
-	}
-	return f.db.Flush()
+	return f.app.commit()
 }
 
 // BuildGraph assembles the ingestion filter graph (Fig 3.1's front-end →

@@ -119,9 +119,11 @@ func (rt *vertexRouter) route(v graph.VertexID) (dest cluster.NodeID, replica, o
 // the roster: a receive that fails only because an *excluded* peer is
 // declared down is retried (the reliable layer's Recv fails fast on any
 // down peer, but a failover run has already routed around that peer), a
-// failure naming any roster member still surfaces, and broadcasts
-// address roster members only. The inner receive blocks for one poll
-// interval per attempt, so the retry loop does not spin.
+// failure naming any roster member still surfaces. Sends are not
+// filtered: partial-roster collectives run WithParticipants and reply
+// point-to-point, so nothing broadcasts through this wrapper. The inner
+// receive blocks for one poll interval per attempt, so the retry loop
+// does not spin.
 type activeEndpoint struct {
 	cluster.Endpoint
 	rst *roster
@@ -184,21 +186,4 @@ func (a *activeEndpoint) TryRecv(ch cluster.ChannelID) (cluster.Message, bool, e
 		return cluster.Message{}, false, nil
 	}
 	return msg, ok, err
-}
-
-// Broadcast addresses roster members only; dead excluded peers would
-// fail the send (and the whole query) for data they will never read.
-func (a *activeEndpoint) Broadcast(ch cluster.ChannelID, payload []byte) error {
-	self := a.Endpoint.ID()
-	for _, n := range a.rst.nodes {
-		if n == self {
-			continue
-		}
-		c := make([]byte, len(payload))
-		copy(c, payload)
-		if err := a.Endpoint.Send(n, ch, c); err != nil {
-			return err
-		}
-	}
-	return nil
 }
