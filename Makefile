@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race fuzz chaos crash failover migrate tenants scrub bench-check bench bench-workers bench-io bench-migration clean
+.PHONY: ci vet build test race fuzz chaos crash failover migrate tenants scrub bench-check bench-compare bench bench-workers bench-io bench-migration clean
 
 # ci keeps the fuzz leg to a 5s-per-target smoke; run `make fuzz` for
 # the full exploration pass.
@@ -100,6 +100,12 @@ fuzz:
 bench-check:
 	$(GO) -C benchmark vet .
 	$(GO) -C benchmark test .
+
+# Verdict per (workload, end-to-end metric) for two result directories
+# written by benchmark/run.sh -out (see benchmark/README.md):
+# make bench-compare BASE=/tmp/cmp/base CAND=/tmp/cmp/cand
+bench-compare:
+	bash benchmark/run.sh -compare $(BASE) $(CAND)
 
 # Paper figure/table regenerations (slow; one full experiment per bench).
 bench:

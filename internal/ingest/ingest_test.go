@@ -63,14 +63,14 @@ func TestPolicyByName(t *testing.T) {
 
 func TestEdgeCodecRoundTrip(t *testing.T) {
 	edges := []graph.Edge{{Src: 0, Dst: 1}, {Src: 42, Dst: graph.MaxVertexID}}
-	got, err := decodeEdges(encodeEdges(edges))
+	_, _, got, err := decodeWindow(encodeWindow(0, 1, edges))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, edges) {
 		t.Fatalf("round trip = %v", got)
 	}
-	if _, err := decodeEdges([]byte{1, 2, 3}); err == nil {
+	if _, _, _, err := decodeWindow(make([]byte, windowHeaderBytes+3)); err == nil {
 		t.Fatal("misaligned payload accepted")
 	}
 }

@@ -171,10 +171,9 @@ type migrationPeer struct {
 
 	mu sync.Mutex
 	// Destination side.
-	app       *applier
-	recvMoved map[graph.VertexID]bool // vertices this node received windows for
-	expect    map[cluster.NodeID]*verifyExpect
-	verdict   string // non-empty = failed
+	app     *applier
+	expect  map[cluster.NodeID]*verifyExpect
+	verdict string // non-empty = failed
 }
 
 // verifyExpect accumulates one source's verify stream on the
@@ -194,10 +193,9 @@ func newMigrationPeer(self cluster.NodeID, db graphdb.Graph, nodes int, oldRP, n
 	}
 	return &migrationPeer{
 		self: self, db: db, nodes: nodes, oldRP: oldRP, newRP: newRP, epoch: epoch, cfg: cfg, stats: stats,
-		shipped:   make(map[cluster.NodeID]map[graph.VertexID]int),
-		app:       app,
-		recvMoved: make(map[graph.VertexID]bool),
-		expect:    make(map[cluster.NodeID]*verifyExpect),
+		shipped: make(map[cluster.NodeID]map[graph.VertexID]int),
+		app:     app,
+		expect:  make(map[cluster.NodeID]*verifyExpect),
 	}, nil
 }
 
@@ -399,17 +397,13 @@ func (p *migrationPeer) Receive(pass cluster.MigratePass, from cluster.NodeID, p
 		return p.receiveVerify(from, payload)
 	}
 	p.dbMu.Lock()
-	edges, dup, err := p.app.apply(payload)
+	_, dup, err := p.app.apply(payload)
 	p.dbMu.Unlock()
 	if err != nil {
 		return err
 	}
 	if dup {
 		p.stats.dupWindows.Add(1)
-		return nil
-	}
-	for _, e := range edges {
-		p.recvMoved[e.Src] = true
 	}
 	return nil
 }

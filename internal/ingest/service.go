@@ -120,17 +120,7 @@ type Stats struct {
 
 const edgeBytes = 16
 
-// encodeEdges packs a window of edges into a stream buffer payload.
-func encodeEdges(edges []graph.Edge) []byte {
-	b := make([]byte, edgeBytes*len(edges))
-	for i, e := range edges {
-		binary.LittleEndian.PutUint64(b[edgeBytes*i:], uint64(e.Src))
-		binary.LittleEndian.PutUint64(b[edgeBytes*i+8:], uint64(e.Dst))
-	}
-	return b
-}
-
-// decodeEdges unpacks a window payload.
+// decodeEdges unpacks the edges of a window payload (after its header).
 func decodeEdges(b []byte) ([]graph.Edge, error) {
 	if len(b)%edgeBytes != 0 {
 		return nil, fmt.Errorf("ingest: window payload of %d bytes not a multiple of %d", len(b), edgeBytes)

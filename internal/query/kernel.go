@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -20,11 +21,20 @@ import (
 // §4.2. An analysis that walks the graph level by level is a front-end:
 // it fills in a traversal, gives runTraversal a per-node loop over
 // kernel.step, and reads the outcome off the kernel. One step is warm →
-// expand → exchange → settle; seed runs before the first. The paper's two
-// exchange disciplines are one value, kernel.chunk: 0 ships each peer's
-// share at the end of the level (Algorithm 1), n > 0 ships a bucket the
-// moment it holds n vertices and drains arrivals between expansions
-// (Algorithm 2).
+// sort → expand → exchange → settle; seed runs before the first.
+//
+// The sort puts the fringe in ascending vertex order, which is block
+// order: grDB lays level 0 and each window's sub-blocks out by source
+// vertex, so vertices that share a block are read back to back instead
+// of being scattered across the level and evicted between their reads.
+// Every read path of expand gets the sorted fringe. The sort runs after
+// warm because until warm joins the async prefetch jobs they read slices
+// that share the fringe's backing array.
+//
+// The paper's two exchange disciplines are one value, kernel.chunk: 0
+// ships each peer's share at the end of the level (Algorithm 1), n > 0
+// ships a bucket the moment it holds n vertices and drains arrivals
+// between expansions (Algorithm 2).
 
 // traversal is what an analysis asks of the kernel. BFSConfig is the
 // kernel's knob set (KHopConfig is a subset of it); the other fields are
@@ -347,11 +357,12 @@ func (l *lane) flush(q cluster.NodeID) error {
 	return l.k.ep.Send(q, l.k.qc.fringe, frame)
 }
 
-// expand scans the adjacency of the whole fringe. The plain serial case
-// is one batch call (StreamDB requires it; everyone else benefits from
-// it too). ReturnPath, the chunked discipline and a worker pool read
-// vertex by vertex instead: a batch loses which fringe vertex produced
-// each neighbour, cannot interleave sends, and cannot be split.
+// expand scans the adjacency of the whole fringe, in the ascending vertex
+// order step sorted it into. The plain serial case is one batch call
+// (StreamDB requires it; everyone else benefits from it too). ReturnPath,
+// the chunked discipline and a worker pool read vertex by vertex instead:
+// a batch loses which fringe vertex produced each neighbour, cannot
+// interleave sends, and cannot be split.
 func (k *kernel) expand() error {
 	op, ref := k.tr.Filter.metaOp()
 	var (
@@ -417,7 +428,8 @@ func (k *kernel) expand() error {
 	}
 	wg.Wait()
 	// Levels are sets, so the scheduling-dependent order inside next and
-	// the buckets changes no result field.
+	// the buckets changes no result field; step sorts the next fringe
+	// before it is read.
 	for w := range lanes {
 		l := &lanes[w]
 		k.main.tally.add(l.tally)
@@ -614,6 +626,7 @@ func (k *kernel) step() (bool, error) {
 		"fringe": strconv.FormatInt(stat.Fringe, 10),
 	})
 	k.warm()
+	slices.Sort(k.fringe)
 	if err := k.expand(); err != nil {
 		return false, err
 	}
