@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"mssg/internal/graph"
 	"mssg/internal/graphdb"
@@ -176,27 +175,18 @@ func (d *DB) StoreEdges(edges []graph.Edge) error {
 	}
 	start := d.stats.OpStart()
 	defer d.stats.ObserveStore(start)
-	grouped := make(map[graph.VertexID][]graph.VertexID)
 	for _, e := range edges {
 		if err := graph.ValidateEdge(e); err != nil {
 			return err
 		}
-		grouped[e.Src] = append(grouped[e.Src], e.Dst)
 	}
-	// Deterministic order keeps on-disk layout reproducible.
-	srcs := make([]graph.VertexID, 0, len(grouped))
-	for v := range grouped {
-		srcs = append(srcs, v)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-
-	for _, src := range srcs {
-		if err := d.appendNeighbors(src, grouped[src]); err != nil {
+	return graphdb.GroupBySource(edges, func(src graph.VertexID, dsts []graph.VertexID) error {
+		if err := d.appendNeighbors(src, dsts); err != nil {
 			return err
 		}
-		d.stats.AddEdgesStored(int64(len(grouped[src])))
-	}
-	return nil
+		d.stats.AddEdgesStored(int64(len(dsts)))
+		return nil
+	})
 }
 
 func (d *DB) appendNeighbors(src graph.VertexID, add []graph.VertexID) error {

@@ -34,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"mssg/internal/graph"
 )
@@ -155,6 +156,54 @@ func Degree(g Graph, v graph.VertexID) (int64, error) {
 		return 0, err
 	}
 	return int64(out.Len()), nil
+}
+
+// GroupBySource calls fn once per distinct source in edges, in ascending
+// source order, with that source's destinations in arrival order: the
+// vertex-ordered pass a backend's StoreEdges appends a batch in. Sources
+// must be valid (non-negative) ids. It sorts a copy, so edges is left as
+// it was, and every dsts is a sub-slice of one buffer that is valid only
+// during its call. The first error from fn stops the walk and is
+// returned.
+func GroupBySource(edges []graph.Edge, fn func(src graph.VertexID, dsts []graph.VertexID) error) error {
+	// A least-significant-digit radix sort on the source, one byte per
+	// pass and only as many passes as the largest source needs, is stable
+	// and linear in the batch.
+	sorted, spare := slices.Clone(edges), make([]graph.Edge, len(edges))
+	var top uint64
+	for _, e := range sorted {
+		top = max(top, uint64(e.Src))
+	}
+	for shift := uint(0); shift < 64 && top>>shift > 0; shift += 8 {
+		var start [257]int
+		for _, e := range sorted {
+			start[uint64(e.Src)>>shift&0xff+1]++
+		}
+		for d := 1; d < len(start); d++ {
+			start[d] += start[d-1]
+		}
+		for _, e := range sorted {
+			d := uint64(e.Src) >> shift & 0xff
+			spare[start[d]] = e
+			start[d]++
+		}
+		sorted, spare = spare, sorted
+	}
+	dsts := make([]graph.VertexID, len(sorted))
+	for i, e := range sorted {
+		dsts[i] = e.Dst
+	}
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j].Src == sorted[i].Src {
+			j++
+		}
+		if err := fn(sorted[i].Src, dsts[i:j]); err != nil {
+			return err
+		}
+		i = j
+	}
+	return nil
 }
 
 // BatchGraph is an optional extension for storage formats that answer a

@@ -2,7 +2,6 @@ package grdb
 
 import (
 	"fmt"
-	"sort"
 
 	"mssg/internal/graph"
 	"mssg/internal/graphdb"
@@ -23,7 +22,6 @@ func (d *DB) StoreEdges(edges []graph.Edge) error {
 	}
 	start := d.stats.OpStart()
 	defer d.stats.ObserveStore(start)
-	grouped := make(map[graph.VertexID][]graph.VertexID)
 	for _, e := range edges {
 		if err := graph.ValidateEdge(e); err != nil {
 			return err
@@ -31,23 +29,17 @@ func (d *DB) StoreEdges(edges []graph.Edge) error {
 		if uint64(e.Src) > maxStoreable || uint64(e.Dst) > maxStoreable {
 			return fmt.Errorf("grdb: vertex id beyond 61-bit storeable range: %v", e)
 		}
-		grouped[e.Src] = append(grouped[e.Src], e.Dst)
 	}
-	srcs := make([]graph.VertexID, 0, len(grouped))
-	for v := range grouped {
-		srcs = append(srcs, v)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	for _, src := range srcs {
-		if err := d.appendNeighbors(src, grouped[src]); err != nil {
+	return graphdb.GroupBySource(edges, func(src graph.VertexID, dsts []graph.VertexID) error {
+		if err := d.appendNeighbors(src, dsts); err != nil {
 			return err
 		}
-		d.stats.AddEdgesStored(int64(len(grouped[src])))
+		d.stats.AddEdgesStored(int64(len(dsts)))
 		if src > d.maxVertex {
 			d.maxVertex = src
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // appendNeighbors walks v's chain to its tail and appends ids, overflowing

@@ -9,6 +9,14 @@ import (
 	"mssg/internal/graphdb/hashdb"
 )
 
+// decodeWindow parses a whole window payload: its id and its edges.
+func decodeWindow(b []byte) (frontend uint32, seq uint64, edges []graph.Edge, err error) {
+	if frontend, seq, err = windowID(b); err != nil {
+		return 0, 0, nil, err
+	}
+	return frontend, seq, appendEdges([]graph.Edge{}, b), nil
+}
+
 func TestWindowCodecRoundTrip(t *testing.T) {
 	edges := []graph.Edge{{Src: 3, Dst: 9}, {Src: 9, Dst: 3}, {Src: 7, Dst: graph.MaxVertexID}}
 	fe, seq, got, err := decodeWindow(encodeWindow(5, 12345, edges))
@@ -64,6 +72,9 @@ func TestStoreFilterDedupsReshippedWindows(t *testing.T) {
 		if err := sf.apply(w); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := sf.Finalize(nil); err != nil {
+		t.Fatal(err)
 	}
 
 	if got := stats.EdgesStored.Load(); got != 4 {

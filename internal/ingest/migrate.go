@@ -38,9 +38,9 @@ type MigrationConfig struct {
 	// WindowEdges caps edges per shipped window. 0 means 4096.
 	WindowEdges int
 	// Durable makes destinations persist the dedup-set through
-	// graphdb.Checkpointer and Flush at every pass end, so a killed
-	// migration resumes without re-applying windows. Requires durable
-	// back-ends.
+	// graphdb.Checkpointer and Flush at every store (every pass end and
+	// every 64 staged windows), so a killed migration resumes without
+	// re-applying windows. Requires durable back-ends.
 	Durable bool
 	// Hook, when non-nil, is forwarded to the transport: it runs on the
 	// coordinator at every phase boundary (copy, catchup, verify, commit)
@@ -187,7 +187,7 @@ type verifyExpect struct {
 }
 
 func newMigrationPeer(self cluster.NodeID, db graphdb.Graph, nodes int, oldRP, newRP ReplicaPolicy, epoch uint64, cfg MigrationConfig, stats *migrationStatsAtomic) (*migrationPeer, error) {
-	app, err := openApplier(db, cfg.Durable, "migration")
+	app, err := openApplier(db, cfg.Durable, "migration", defaultCheckpointWindows)
 	if err != nil {
 		return nil, err
 	}
@@ -397,7 +397,7 @@ func (p *migrationPeer) Receive(pass cluster.MigratePass, from cluster.NodeID, p
 		return p.receiveVerify(from, payload)
 	}
 	p.dbMu.Lock()
-	_, dup, err := p.app.apply(payload)
+	dup, err := p.app.apply(payload)
 	p.dbMu.Unlock()
 	if err != nil {
 		return err
@@ -443,25 +443,25 @@ func (p *migrationPeer) receiveVerify(from cluster.NodeID, payload []byte) error
 	return nil
 }
 
-// PassDone implements cluster.MigratePeer: after the verify pass the
-// destination recomputes each source's checksum over its own storage;
-// after every pass a durable destination commits the dedup-set
-// atomically with the received windows (the migration checkpoint a
-// resumed run starts from).
+// PassDone implements cluster.MigratePeer: after every pass the
+// destination stores the windows it staged — a durable one commits the
+// dedup-set atomically with them (the migration checkpoint a resumed run
+// starts from) — and after the verify pass it then recomputes each
+// source's checksum over its own storage.
 func (p *migrationPeer) PassDone(pass cluster.MigratePass) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if pass == cluster.PassVerify {
-		if err := p.checkVerify(); err != nil {
-			return err
-		}
-	}
+	store := p.app.store
 	if p.cfg.Durable {
-		p.dbMu.Lock()
-		defer p.dbMu.Unlock()
-		return p.app.commit()
+		store = p.app.commit
 	}
-	return nil
+	p.dbMu.Lock()
+	err := store()
+	p.dbMu.Unlock()
+	if err != nil || pass != cluster.PassVerify {
+		return err
+	}
+	return p.checkVerify()
 }
 
 func (p *migrationPeer) checkVerify() error {

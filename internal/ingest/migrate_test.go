@@ -153,6 +153,55 @@ func TestMigrateJoin(t *testing.T) {
 	}
 }
 
+// countingHashDB counts StoreEdges calls on a hashdb that keeps its
+// vertex scan.
+type countingHashDB struct {
+	*hashdb.DB
+	calls int
+}
+
+func (d *countingHashDB) StoreEdges(edges []graph.Edge) error {
+	d.calls++
+	return d.DB.StoreEdges(edges)
+}
+
+// TestMigrateJoinStoresStageAtPassDone: a non-durable destination stages
+// the windows it receives, stores a full stage with one StoreEdges call,
+// and stores the remainder at the end of the pass, so every moved
+// vertex's adjacency is complete when the epoch commits.
+func TestMigrateJoinStoresStageAtPassDone(t *testing.T) {
+	base := Placement{Policy: "rendezvous", Backends: 3, Replication: 2, Seed: 42}
+	holder, err := NewPlacementHolder("", Manifest{Committed: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldRP, _ := replicaPolicyFor(base)
+	edges := migTestEdges(2000, 300, 7)
+	joiner := &countingHashDB{DB: hashdb.New()}
+	dbs := append(hashCluster(3), joiner)
+	seedReplicated(t, dbs, oldRP, edges)
+
+	f := cluster.NewInProc(4, 0)
+	defer f.Close()
+	target, err := holder.JoinTarget(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One edge per window: every move lands on the joiner, in more
+	// windows than one stage holds.
+	stats, err := Migrate(f, dbs, holder, target, MigrationConfig{WindowEdges: 1})
+	if err != nil {
+		t.Fatalf("Migrate: %v", err)
+	}
+	if stats.Windows != stats.MovedEdges || stats.MovedEdges <= defaultCheckpointWindows {
+		t.Fatalf("want one window per moved edge and more than one stage: %+v", stats)
+	}
+	if want := int((stats.MovedEdges + defaultCheckpointWindows - 1) / defaultCheckpointWindows); joiner.calls != want {
+		t.Errorf("joiner StoreEdges calls = %d, want %d (one per stage of %d windows)", joiner.calls, want, defaultCheckpointWindows)
+	}
+	checkPlacementServed(t, dbs, holder.Placement(), referenceAdj(edges))
+}
+
 // TestMigrateDrain: a planned drain re-homes the departing node's shards
 // and the committed placement routes around it.
 func TestMigrateDrain(t *testing.T) {
