@@ -175,6 +175,13 @@ func (e *Engine) Ingest(makeReader func(copy int) (graph.EdgeReader, error)) (*i
 	if runErr != nil {
 		return stats, runErr
 	}
+	if icfg.Durable {
+		// Every back-end committed the whole run; the next Ingest
+		// starts a new one instead of resuming this one.
+		if err := ingest.FinishRun(icfg.Backends, func(copy int) graphdb.Graph { return e.dbs[copy] }); err != nil {
+			return stats, err
+		}
+	}
 	return stats, nil
 }
 
