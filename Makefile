@@ -76,13 +76,14 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzEdgeDecodeNoPanic -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run xxx -fuzz FuzzTCPFrameDecode -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run xxx -fuzz FuzzRecordScan -fuzztime $(FUZZTIME) ./internal/storage/wal
+	$(GO) test -run xxx -fuzz FuzzCheckpointRecordDecode -fuzztime $(FUZZTIME) ./internal/storage/wal
 	$(GO) test -run xxx -fuzz FuzzManifestDecode -fuzztime $(FUZZTIME) ./internal/graphdb/grdb
 	$(GO) test -run xxx -fuzz FuzzStateRecordDecode -fuzztime $(FUZZTIME) ./internal/graphdb/grdb
 	$(GO) test -run xxx -fuzz FuzzChainWalk -fuzztime $(FUZZTIME) ./internal/graphdb/grdb
 	$(GO) test -run xxx -fuzz FuzzWALRecordDecode -fuzztime $(FUZZTIME) ./internal/graphdb/reldb
-	$(GO) test -run xxx -fuzz FuzzCheckpointRecordDecode -fuzztime $(FUZZTIME) ./internal/graphdb/reldb
 	$(GO) test -run xxx -fuzz FuzzManifestDecode -fuzztime $(FUZZTIME) ./internal/graphdb/reldb
 	$(GO) test -run xxx -fuzz FuzzPlacementDecode -fuzztime $(FUZZTIME) ./internal/ingest
+	$(GO) test -run xxx -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME) ./internal/ingest
 	$(GO) test -run xxx -fuzz FuzzFringeChunkDecode -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run xxx -fuzz FuzzFringeChunkRoundTrip -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run xxx -fuzz FuzzCanonicalParams -fuzztime $(FUZZTIME) ./internal/query/qcache

@@ -1,119 +1,36 @@
 package grdb
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 
-	"mssg/internal/graph"
 	"mssg/internal/graphdb"
+	"mssg/internal/storage/cache"
 	"mssg/internal/storage/wal"
 )
 
-// Durable checkpoint protocol (DESIGN.md §11).
-//
-// grDB mutates blocks only through the no-steal cache, so between two
-// Flush calls the data files never change: they always hold exactly the
-// state of the last completed checkpoint, and recovery needs no undo.
-// A checkpoint is then a classic redo-only commit:
-//
-//	1. append the image of every dirty block to the WAL
-//	2. append one state record (allocation state + checkpoint blob)
-//	3. wal.Sync            ← THE commit point (one fsync)
-//	4. write dirty blocks back through the cache
-//	5. fsync every level's data and checksum files
-//	6. atomically replace the manifest
-//	7. wal.Reset (the checkpoint is fully in place; the log is redundant)
-//
-// A crash before step 3 leaves a WAL without a complete state record:
-// recovery discards it and the database reopens at the previous
-// checkpoint — the interrupted Flush never happened. A crash at or
-// after step 3 leaves a WAL whose last state record seals a complete
-// image set: recovery replays the images, applies the state, and
-// finishes steps 4-7 itself. Either way the observable state is exactly
-// "all Flushes that returned, nothing else".
+// Durable mode makes every Flush the redo checkpoint of DESIGN.md §11
+// (records, commit and image replay live in storage/wal). grDB changes
+// blocks only through the no-steal cache, so between two Flush calls the
+// data files hold exactly the last checkpoint. A crash, or a failed
+// StoreEdges or Flush (abort), leaves the database at whichever commit
+// the log holds: all Flushes that returned, nothing else.
 
 const walName = "grdb.wal"
 
-// WAL record kinds (first payload byte).
-const (
-	recImage = 'I' // block image: level u32, block u64, data [blockBytes]
-	recState = 'S' // checkpoint state: see encodeStateRecord
-)
-
-const imageHeader = 1 + 4 + 8
-
-func encodeImageRecord(level uint32, block int64, data []byte) []byte {
-	b := make([]byte, imageHeader+len(data))
-	b[0] = recImage
-	le.PutUint32(b[1:5], level)
-	le.PutUint64(b[5:13], uint64(block))
-	copy(b[imageHeader:], data)
-	return b
-}
-
-// encodeStateRecord serializes the same logical content as the manifest
-// (minus framing): edges, maxVertex, nextFree, checkpoint blob.
-func encodeStateRecord(st manifestState) []byte {
-	b := make([]byte, 1+8+8+4+4+8*len(st.nextFree)+len(st.ckpt))
-	b[0] = recState
-	le.PutUint64(b[1:9], uint64(st.edges))
-	le.PutUint64(b[9:17], uint64(st.maxVertex))
-	le.PutUint32(b[17:21], uint32(len(st.nextFree)))
-	le.PutUint32(b[21:25], uint32(len(st.ckpt)))
-	off := 25
-	for _, nf := range st.nextFree {
-		le.PutUint64(b[off:], uint64(nf))
-		off += 8
-	}
-	copy(b[off:], st.ckpt)
-	return b
-}
-
-// decodeStateRecord parses a recState payload. Must not panic on any
-// input (the WAL fuzz target drives it through replay).
-func decodeStateRecord(b []byte, levels int) (manifestState, error) {
-	var st manifestState
-	if len(b) < 25 || b[0] != recState {
-		return st, fmt.Errorf("grdb: malformed WAL state record (%d bytes)", len(b))
-	}
-	nLevels := int(le.Uint32(b[17:21]))
-	ckptLen := int(le.Uint32(b[21:25]))
-	if nLevels != levels {
-		return st, fmt.Errorf("grdb: WAL state record has %d levels, ladder has %d", nLevels, levels)
-	}
-	if len(b) != 25+8*nLevels+ckptLen {
-		return st, fmt.Errorf("grdb: WAL state record is %d bytes, want %d", len(b), 25+8*nLevels+ckptLen)
-	}
-	st.edges = int64(le.Uint64(b[1:9]))
-	st.maxVertex = graph.VertexID(le.Uint64(b[9:17]))
-	st.nextFree = make([]int64, nLevels)
-	off := 25
-	for i := range st.nextFree {
-		st.nextFree[i] = int64(le.Uint64(b[off:]))
-		off += 8
-	}
-	if ckptLen > 0 {
-		st.ckpt = append([]byte(nil), b[off:off+ckptLen]...)
-	}
-	return st, nil
-}
-
-// checkpoint is the durable Flush; see the protocol comment above.
+// checkpoint is the durable Flush.
 func (d *DB) checkpoint() error {
-	err := d.cache.Dirty(func(space uint32, block int64, data []byte) error {
-		_, err := d.wal.Append(encodeImageRecord(space, block, data))
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	if _, err := d.wal.Append(encodeStateRecord(d.manifestState())); err != nil {
-		return err
-	}
-	if err := d.wal.Sync(); err != nil { // commit point
+	if err := d.wal.Commit(d.cache, encodeState(d.manifestState())); err != nil {
 		return err
 	}
 	d.ckptCommitted = d.ckptStaged
+	return d.writeBack()
+}
+
+// writeBack runs a committed checkpoint's steps 4–7: write the dirty
+// blocks back, sync every level, replace the manifest, reset the log.
+func (d *DB) writeBack() error {
 	if err := d.cache.Flush(); err != nil {
 		return err
 	}
@@ -129,11 +46,8 @@ func (d *DB) checkpoint() error {
 }
 
 // recoverDurable opens the WAL and, when it holds a committed
-// checkpoint the manifest does not yet reflect, replays it: block
-// images up to (and the state of) the LAST complete state record are
-// applied; any tail beyond it — a checkpoint whose commit fsync never
-// finished — is discarded wholesale. It then completes the interrupted
-// checkpoint's remaining steps (sync, manifest, log reset).
+// checkpoint the manifest does not yet reflect, replays it and finishes
+// it; a log with no committed checkpoint is dropped.
 func (d *DB) recoverDurable() error {
 	w, err := wal.Open(d.fsys, filepath.Join(d.dir, walName))
 	if err != nil {
@@ -144,71 +58,61 @@ func (d *DB) recoverDurable() error {
 		return nil
 	}
 	d.mRecoveryRuns.Inc()
-	var lastState uint64
-	err = w.Replay(func(r wal.Record) error {
-		d.mRecoveryRecords.Inc()
-		if len(r.Payload) > 0 && r.Payload[0] == recState {
-			lastState = r.Seq
-		}
-		return nil
-	})
-	if err != nil {
-		return err
+	d.mRecoveryRecords.Add(int64(w.Seq()))
+	stores := make(map[uint32]cache.Store, len(d.levels))
+	for i, l := range d.levels {
+		stores[uint32(i)] = l.store
 	}
-	if lastState == 0 {
-		// Only images from an uncommitted checkpoint: the data files
-		// still hold the previous checkpoint exactly; drop the log.
+	_, before := d.IOCounters()
+	state, seq, err := w.Recover(stores)
+	if err != nil {
+		return fmt.Errorf("grdb: %w", err)
+	}
+	_, after := d.IOCounters()
+	d.mRecoveryBlocks.Add(after - before)
+	if seq == 0 {
 		return w.Reset()
 	}
-	err = w.Replay(func(r wal.Record) error {
-		if r.Seq > lastState || len(r.Payload) == 0 {
-			return nil
-		}
-		switch r.Payload[0] {
-		case recImage:
-			if len(r.Payload) < imageHeader {
-				return fmt.Errorf("grdb: malformed WAL image record (%d bytes)", len(r.Payload))
-			}
-			level := int(le.Uint32(r.Payload[1:5]))
-			block := int64(le.Uint64(r.Payload[5:13]))
-			if level >= len(d.levels) || block < 0 {
-				return fmt.Errorf("grdb: WAL image for level %d block %d beyond ladder", level, block)
-			}
-			data := r.Payload[imageHeader:]
-			if len(data) != d.levels[level].store.BlockSize() {
-				return fmt.Errorf("grdb: WAL image for level %d is %d bytes, want %d",
-					level, len(data), d.levels[level].store.BlockSize())
-			}
-			d.mRecoveryBlocks.Inc()
-			return d.levels[level].store.WriteBlock(block, data)
-		case recState:
-			if r.Seq != lastState {
-				return nil // superseded by a later checkpoint in the same log
-			}
-			st, err := decodeStateRecord(r.Payload, len(d.levels))
-			if err != nil {
-				return err
-			}
-			gen := d.manifestGen // state records carry no generation
-			d.applyManifestState(st)
-			d.manifestGen = gen
-			d.genMirror.Store(gen)
-		}
-		return nil
-	})
+	st, err := decodeState(state, len(d.levels))
 	if err != nil {
+		return fmt.Errorf("grdb: WAL state record: %w", err)
+	}
+	st.gen = d.manifestGen // state records carry no generation
+	d.applyManifestState(st)
+	return d.writeBack()
+}
+
+// load reads the last commit into memory: the manifest, then, when
+// durable, the checkpoint the WAL committed after it.
+func (d *DB) load() error {
+	d.nextFree = make([]int64, len(d.levels))
+	d.applyManifestState(manifestState{maxVertex: -1})
+	clear(d.tailHint)
+	if err := d.loadManifest(); err != nil {
 		return err
 	}
-	// Finish the interrupted checkpoint: steps 5-7.
-	for i, l := range d.levels {
-		if err := l.store.Sync(); err != nil {
-			return fmt.Errorf("grdb: level %d: %w", i, err)
-		}
+	if d.durable {
+		return d.recoverDurable()
 	}
-	if err := d.saveManifest(); err != nil {
-		return err
+	return nil
+}
+
+// abort undoes a failed durable StoreEdges or Flush: it drops every
+// dirty block, staged WAL record and cursor the failure left in memory,
+// without writing anything back, and reloads the last commit as Open
+// does. No-steal kept the data files at that commit; the records that
+// reached the log decide whether a failed Flush committed. When the
+// reload fails too the DB is closed. It returns cause.
+func (d *DB) abort(cause error) error {
+	d.pf.drain()
+	d.cache.Discard()
+	_ = d.wal.Close() // load reopens the log; its staged records are dropped either way
+	if err := d.load(); err != nil {
+		d.closeStores()
+		d.closed = true
+		return errors.Join(cause, fmt.Errorf("grdb: reloading the last commit: %w", err))
 	}
-	return w.Reset()
+	return cause
 }
 
 // SetCheckpoint implements graphdb.Checkpointer: blob is committed

@@ -3,14 +3,24 @@ package grdb
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
 
 	"mssg/internal/graph"
 	"mssg/internal/graphdb"
 	"mssg/internal/storage/blockio"
+	"mssg/internal/storage/vfs"
+	"mssg/internal/storage/wal"
 )
+
+// The record encoders the tests below write checkpoints with.
+var encodeImageRecord = wal.EncodeImage
+
+func encodeStateRecord(st manifestState) []byte { return wal.EncodeState(encodeState(st)) }
 
 func durableOpts(dir string) graphdb.Options {
 	return graphdb.Options{
@@ -331,13 +341,246 @@ func FuzzManifestDecode(f *testing.F) {
 }
 
 func FuzzStateRecordDecode(f *testing.F) {
-	f.Add(encodeStateRecord(manifestState{
+	f.Add(encodeState(manifestState{
 		edges: 10, maxVertex: 5, nextFree: []int64{0, 4, 8}, ckpt: []byte("x"),
 	}))
-	f.Add([]byte{recState})
+	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, levels := range []int{1, 3, 6} {
-			decodeStateRecord(b, levels)
+			st, err := decodeState(b, levels)
+			if err == nil && !bytes.Equal(encodeState(st), b) {
+				t.Fatalf("state round trip mismatch for %x", b)
+			}
 		}
 	})
+}
+
+// TestCheckpointRecordRoundTrip writes a committed checkpoint whose
+// records are laid out byte by byte as the WAL format defines them —
+// 'I', level u32, block u64, the block; then 'S', edges u64, maxVertex
+// u64, levels u32, blob length u32, nextFree, the blob — and checks that
+// it recovers and that the encoders emit exactly those bytes, so a log
+// written by earlier code still replays.
+func TestCheckpointRecordRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	d := openDurable(t, dir)
+	storeN(t, d, 3, 12)
+	if err := d.SetCheckpoint([]byte("blob")); err != nil {
+		t.Fatal(err)
+	}
+	images := 0
+	err := d.cache.Dirty(func(space uint32, block int64, data []byte) error {
+		rec := le.AppendUint64(le.AppendUint32([]byte{'I'}, space), uint64(block))
+		rec = append(rec, data...)
+		if !bytes.Equal(wal.EncodeImage(space, block, data), rec) {
+			t.Errorf("image record of level %d block %d differs from the format", space, block)
+		}
+		images++
+		_, err := d.wal.Append(rec)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := d.manifestState()
+	rec := le.AppendUint64(le.AppendUint64([]byte{'S'}, uint64(st.edges)), uint64(st.maxVertex))
+	rec = le.AppendUint32(le.AppendUint32(rec, uint32(len(st.nextFree))), uint32(len(st.ckpt)))
+	for _, nf := range st.nextFree {
+		rec = le.AppendUint64(rec, uint64(nf))
+	}
+	rec = append(rec, st.ckpt...)
+	if !bytes.Equal(encodeStateRecord(st), rec) {
+		t.Errorf("state record differs from the format:\n got %x\nwant %x", encodeStateRecord(st), rec)
+	}
+	if _, err := d.wal.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.wal.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if images == 0 {
+		t.Fatal("no dirty blocks to log")
+	}
+	// Abandon at the commit point: only the log holds the edges.
+
+	d2 := openDurable(t, dir)
+	defer d2.Close()
+	if got := neighbors(t, d2, 3); len(got) != 12 {
+		t.Fatalf("recovered %d neighbours, want 12", len(got))
+	}
+	if blob, err := d2.GetCheckpoint(); err != nil || string(blob) != "blob" {
+		t.Fatalf("GetCheckpoint = %q, %v", blob, err)
+	}
+	if _, err := d2.Check(); err != nil {
+		t.Fatalf("Check after recovery: %v", err)
+	}
+}
+
+// eioFS fails the nth read, write or sync (op) of the files whose base
+// name starts with file, counted once armed: a disk error rather than a
+// crash. Checksum sidecars never fail.
+type eioFS struct {
+	vfs.FS
+	file, op string
+	n, ops   int
+	armed    bool
+}
+
+type eioFile struct {
+	vfs.File
+	owner *eioFS
+}
+
+func (f *eioFS) OpenFile(name string, flag int, perm fs.FileMode) (vfs.File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil || !strings.HasPrefix(filepath.Base(name), f.file) || strings.HasSuffix(name, ".sum") {
+		return file, err
+	}
+	return &eioFile{File: file, owner: f}, nil
+}
+
+func (f *eioFS) fail(op string) error {
+	if f.armed && op == f.op {
+		if f.ops++; f.ops == f.n {
+			return syscall.EIO
+		}
+	}
+	return nil
+}
+
+func (f *eioFile) ReadAt(p []byte, off int64) (int, error) {
+	if err := f.owner.fail("read"); err != nil {
+		return 0, err
+	}
+	return f.File.ReadAt(p, off)
+}
+
+func (f *eioFile) WriteAt(p []byte, off int64) (int, error) {
+	if err := f.owner.fail("write"); err != nil {
+		return 0, err
+	}
+	return f.File.WriteAt(p, off)
+}
+
+func (f *eioFile) Sync() error {
+	if err := f.owner.fail("sync"); err != nil {
+		return err
+	}
+	return f.File.Sync()
+}
+
+// TestFailedFlushKeepsWhatTheLogHolds: a durable Flush that fails leaves
+// the database exactly at whichever commit its log holds — the previous
+// one when the commit record never reached the log, the new one when it
+// did — with the edges and the checkpoint blob in step, then and after a
+// reopen.
+func TestFailedFlushKeepsWhatTheLogHolds(t *testing.T) {
+	for _, tc := range []struct {
+		file, op  string
+		committed bool
+	}{
+		{walName, "write", false},
+		{walName, "sync", true}, // the write reached the file; its fsync failed
+		{"level", "write", true},
+	} {
+		dir := t.TempDir()
+		fsys := &eioFS{FS: vfs.OS, file: tc.file, op: tc.op, n: 1}
+		opts := durableOpts(dir)
+		opts.FS = fsys
+		d, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		storeN(t, d, 1, 5)
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		storeN(t, d, 2, 5)
+		if err := d.SetCheckpoint([]byte("second")); err != nil {
+			t.Fatal(err)
+		}
+		fsys.armed = true
+		if err := d.Flush(); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("%s %s: Flush = %v, want EIO", tc.file, tc.op, err)
+		}
+		want, wantBlob := 0, ""
+		if tc.committed {
+			want, wantBlob = 5, "second"
+		}
+		for pass := 0; pass < 2; pass++ {
+			blob, _ := d.GetCheckpoint()
+			if got := neighbors(t, d, 2); len(got) != want || string(blob) != wantBlob || d.edges != int64(5+want) {
+				t.Fatalf("%s %s, pass %d: %d neighbours, %d edges, blob %q; want %d, %d, %q",
+					tc.file, tc.op, pass, len(got), d.edges, blob, want, 5+want, wantBlob)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if d, err = Open(opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.Close()
+	}
+}
+
+// TestFailedStoreLeavesNoTrace: a durable StoreEdges that fails midway
+// must leave the database at its last commit, so storing the same batch
+// again stores it exactly once — no Flush or Close may commit the part
+// the failed call appended.
+func TestFailedStoreLeavesNoTrace(t *testing.T) {
+	const n = 200_000
+	batch := func(k int) []graph.Edge {
+		edges := make([]graph.Edge, n)
+		for v := range edges {
+			edges[v] = graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID((v + k) % n)}
+		}
+		return edges
+	}
+	dir := t.TempDir()
+	fsys := &eioFS{FS: vfs.OS, file: "level", op: "read", n: 31}
+	open := func() *DB {
+		d, err := Open(graphdb.Options{Dir: dir, CacheBytes: 16 << 10, Durability: graphdb.DurabilityFull, FS: fsys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	d := open()
+	if err := d.StoreEdges(batch(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d = open() // cold cache
+	fsys.armed = true
+	if err := d.StoreEdges(batch(2)); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("StoreEdges with a failing read: %v, want EIO", err)
+	}
+	fsys.armed = false
+	if d.edges != n {
+		t.Fatalf("after the failed store: %d edges, want the committed %d", d.edges, n)
+	}
+	if err := d.StoreEdges(batch(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d = open()
+	defer d.Close()
+	var sum int64
+	for v := graph.VertexID(0); v < n; v++ {
+		deg, err := d.Degree(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += deg
+	}
+	if got := d.Stats().EdgesStored; got != 2*n || sum != 2*n {
+		t.Fatalf("stored %d edges (degree sum %d), want exactly %d", got, sum, 2*n)
+	}
 }

@@ -137,6 +137,10 @@ type DB struct {
 	// Defragment sweep. Persisted in the manifest; -1 when empty.
 	maxVertex graph.VertexID
 
+	// edges counts the edges stored. Persisted in the manifest; unlike
+	// the monotonic stats count, a failed durable mutation rewinds it.
+	edges int64
+
 	// tailHint caches each vertex's chain tail so appends skip the walk
 	// from level 0 — the "smart caching ... to reduce the number of disk
 	// I/Os due to updates" of §3.2. Purely an accelerator: entries are
@@ -286,8 +290,6 @@ func Open(opts graphdb.Options) (*DB, error) {
 		dir:        opts.Dir,
 		cache:      cache.New(cacheBytes),
 		meta:       graphdb.NewMetaMap(),
-		nextFree:   make([]int64, len(specs)),
-		maxVertex:  -1,
 		tailHint:   make(map[graph.VertexID]subPos),
 		copyUp:     opts.CopyUpOnOverflow,
 		fsys:       fsys,
@@ -355,15 +357,9 @@ func Open(opts graphdb.Options) (*DB, error) {
 			store:    store,
 		})
 	}
-	if err := d.loadManifest(); err != nil {
+	if err := d.load(); err != nil {
 		d.closeStores()
 		return nil, err
-	}
-	if d.durable {
-		if err := d.recoverDurable(); err != nil {
-			d.closeStores()
-			return nil, err
-		}
 	}
 	if opts.VerifyOnOpen {
 		if _, err := d.Check(); err != nil {

@@ -30,9 +30,10 @@ import (
 //	nextFree  [levels]uint64
 //	ckpt      [ckptLen]byte
 //	crc       uint32   // CRC32-C over everything before it
+//
+// The fields from edges through ckpt are the state (encodeState), which
+// is also the payload of a durable checkpoint's WAL state record.
 const manifestMagic = "GRDBMAN2"
-
-const manifestFixed = 8 + 8 + 8 + 8 + 4 + 4 // through ckptLen
 
 var (
 	le         = binary.LittleEndian
@@ -52,22 +53,8 @@ type manifestState struct {
 }
 
 func encodeManifest(st manifestState) []byte {
-	b := make([]byte, manifestFixed+8*len(st.nextFree)+len(st.ckpt)+4)
-	copy(b[0:8], manifestMagic)
-	le.PutUint64(b[8:16], st.gen)
-	le.PutUint64(b[16:24], uint64(st.edges))
-	le.PutUint64(b[24:32], uint64(st.maxVertex))
-	le.PutUint32(b[32:36], uint32(len(st.nextFree)))
-	le.PutUint32(b[36:40], uint32(len(st.ckpt)))
-	off := manifestFixed
-	for _, nf := range st.nextFree {
-		le.PutUint64(b[off:], uint64(nf))
-		off += 8
-	}
-	copy(b[off:], st.ckpt)
-	off += len(st.ckpt)
-	le.PutUint32(b[off:], crc32.Checksum(b[:off], castagnoli))
-	return b
+	b := append(le.AppendUint64([]byte(manifestMagic), st.gen), encodeState(st)...)
+	return le.AppendUint32(b, crc32.Checksum(b, castagnoli))
 }
 
 // decodeManifest parses either manifest version. levels is the opener's
@@ -77,33 +64,18 @@ func encodeManifest(st manifestState) []byte {
 func decodeManifest(b []byte, levels int) (manifestState, error) {
 	var st manifestState
 	if len(b) >= 8 && string(b[0:8]) == manifestMagic {
-		if len(b) < manifestFixed+4 {
+		if len(b) < 16+4 {
 			return st, fmt.Errorf("%w: %d bytes is shorter than the v2 header", ErrCorruptManifest, len(b))
 		}
 		body, crcb := b[:len(b)-4], b[len(b)-4:]
 		if got := crc32.Checksum(body, castagnoli); got != le.Uint32(crcb) {
 			return st, fmt.Errorf("%w: checksum 0x%08x, want 0x%08x", ErrCorruptManifest, got, le.Uint32(crcb))
 		}
-		nLevels := int(le.Uint32(b[32:36]))
-		ckptLen := int(le.Uint32(b[36:40]))
-		if nLevels != levels {
-			return st, fmt.Errorf("grdb: manifest has %d levels, ladder has %d", nLevels, levels)
-		}
-		if len(body) != manifestFixed+8*nLevels+ckptLen {
-			return st, fmt.Errorf("%w: %d bytes, want %d", ErrCorruptManifest, len(b), manifestFixed+8*nLevels+ckptLen+4)
+		st, err := decodeState(body[16:], levels)
+		if err != nil {
+			return st, fmt.Errorf("%w: %v", ErrCorruptManifest, err)
 		}
 		st.gen = le.Uint64(b[8:16])
-		st.edges = int64(le.Uint64(b[16:24]))
-		st.maxVertex = graph.VertexID(le.Uint64(b[24:32]))
-		st.nextFree = make([]int64, nLevels)
-		off := manifestFixed
-		for i := range st.nextFree {
-			st.nextFree[i] = int64(le.Uint64(b[off:]))
-			off += 8
-		}
-		if ckptLen > 0 {
-			st.ckpt = append([]byte(nil), b[off:off+ckptLen]...)
-		}
 		return st, nil
 	}
 	// Legacy v1: raw {edges, maxVertex, nextFree[levels]}.
@@ -120,10 +92,48 @@ func decodeManifest(b []byte, levels int) (manifestState, error) {
 	return st, nil
 }
 
+// encodeState serializes the state: edges, maxVertex, the level count,
+// the blob length, nextFree, the checkpoint blob.
+func encodeState(st manifestState) []byte {
+	b := le.AppendUint64(le.AppendUint64(nil, uint64(st.edges)), uint64(st.maxVertex))
+	b = le.AppendUint32(le.AppendUint32(b, uint32(len(st.nextFree))), uint32(len(st.ckpt)))
+	for _, nf := range st.nextFree {
+		b = le.AppendUint64(b, uint64(nf))
+	}
+	return append(b, st.ckpt...)
+}
+
+// decodeState parses encodeState's output for a ladder of levels
+// levels. Must not panic on any input (fuzzed by FuzzStateRecordDecode).
+func decodeState(b []byte, levels int) (manifestState, error) {
+	var st manifestState
+	if len(b) < 24 {
+		return st, fmt.Errorf("state of %d bytes is shorter than its header", len(b))
+	}
+	nLevels := int(le.Uint32(b[16:20]))
+	ckptLen := int(le.Uint32(b[20:24]))
+	if nLevels != levels {
+		return st, fmt.Errorf("state has %d levels, ladder has %d", nLevels, levels)
+	}
+	if len(b) != 24+8*nLevels+ckptLen {
+		return st, fmt.Errorf("state is %d bytes, want %d", len(b), 24+8*nLevels+ckptLen)
+	}
+	st.edges = int64(le.Uint64(b[0:8]))
+	st.maxVertex = graph.VertexID(le.Uint64(b[8:16]))
+	st.nextFree = make([]int64, nLevels)
+	for i := range st.nextFree {
+		st.nextFree[i] = int64(le.Uint64(b[24+8*i:]))
+	}
+	if ckptLen > 0 {
+		st.ckpt = append([]byte(nil), b[24+8*nLevels:]...)
+	}
+	return st, nil
+}
+
 func (d *DB) manifestState() manifestState {
 	return manifestState{
 		gen:       d.manifestGen,
-		edges:     d.stats.EdgesStored(),
+		edges:     d.edges,
 		maxVertex: d.maxVertex,
 		nextFree:  d.nextFree,
 		ckpt:      d.ckptStaged,
@@ -133,6 +143,7 @@ func (d *DB) manifestState() manifestState {
 func (d *DB) applyManifestState(st manifestState) {
 	d.manifestGen = st.gen
 	d.genMirror.Store(st.gen)
+	d.edges = st.edges
 	d.stats.SetEdgesStored(st.edges)
 	d.maxVertex = st.maxVertex
 	copy(d.nextFree, st.nextFree)

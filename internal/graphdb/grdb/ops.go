@@ -12,7 +12,8 @@ import (
 // the first empty slot (found by binary search) and overflow allocates a
 // sub-block at the next level, exactly as §3.4.1 describes (the prototype
 // "links on overflow" rather than copying up; see Defragment for the
-// copy-up compaction it defers to idle time).
+// copy-up compaction it defers to idle time). A durable StoreEdges that
+// fails leaves the DB at its last commit (see abort).
 func (d *DB) StoreEdges(edges []graph.Edge) error {
 	if d.closed {
 		return graphdb.ErrClosed
@@ -30,16 +31,21 @@ func (d *DB) StoreEdges(edges []graph.Edge) error {
 			return fmt.Errorf("grdb: vertex id beyond 61-bit storeable range: %v", e)
 		}
 	}
-	return graphdb.GroupBySource(edges, func(src graph.VertexID, dsts []graph.VertexID) error {
+	err := graphdb.GroupBySource(edges, func(src graph.VertexID, dsts []graph.VertexID) error {
 		if err := d.appendNeighbors(src, dsts); err != nil {
 			return err
 		}
+		d.edges += int64(len(dsts))
 		d.stats.AddEdgesStored(int64(len(dsts)))
 		if src > d.maxVertex {
 			d.maxVertex = src
 		}
 		return nil
 	})
+	if err != nil && d.durable {
+		return d.abort(err)
+	}
+	return err
 }
 
 // appendNeighbors walks v's chain to its tail and appends ids, overflowing
@@ -239,13 +245,17 @@ func (d *DB) ChainLength(v graph.VertexID) (int, error) {
 
 // Flush implements graphdb.Graph. In durable mode it is an atomic
 // checkpoint: when it returns nil, every edge stored and checkpoint
-// blob staged before the call survives any crash (see durable.go).
+// blob staged before the call survives any crash; when it fails, the
+// DB holds what the last commit holds (see durable.go).
 func (d *DB) Flush() error {
 	if d.closed {
 		return graphdb.ErrClosed
 	}
 	if d.durable {
-		return d.checkpoint()
+		if err := d.checkpoint(); err != nil {
+			return d.abort(err)
+		}
+		return nil
 	}
 	if err := d.cache.Flush(); err != nil {
 		return err

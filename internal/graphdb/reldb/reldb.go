@@ -126,7 +126,7 @@ func Open(opts graphdb.Options) (*DB, error) {
 	// its block images (and the manifest state it sealed) before the heap
 	// and tree first read through those pages.
 	man, lastState, err := recoverCheckpoint(log,
-		map[uint32]*blockio.Store{spaceHeap: heapStore, spaceIndex: idxStore}, man)
+		map[uint32]cache.Store{spaceHeap: heapStore, spaceIndex: idxStore}, man)
 	if err != nil {
 		log.Close()
 		heapStore.Close()
@@ -184,16 +184,18 @@ type manifest struct {
 }
 
 // manifestBytes is the fixed encoded size of a manifest (also the
-// payload of a WAL state record, minus its kind byte).
+// payload of a WAL state record).
 const manifestBytes = 40
 
-// encode serializes m into b, which must be manifestBytes long.
-func (m manifest) encode(b []byte) {
+// encode serializes m into manifestBytes bytes.
+func (m manifest) encode() []byte {
+	b := make([]byte, manifestBytes)
 	binary.LittleEndian.PutUint64(b[0:8], uint64(m.tree.Root))
 	binary.LittleEndian.PutUint64(b[8:16], uint64(m.tree.NumPages))
 	binary.LittleEndian.PutUint64(b[16:24], uint64(m.tree.Count))
 	binary.LittleEndian.PutUint64(b[24:32], uint64(m.heapTail))
 	binary.LittleEndian.PutUint64(b[32:40], uint64(m.heapPages))
+	return b
 }
 
 // decodeManifest parses manifestBytes of encoded manifest. Must not
@@ -230,9 +232,7 @@ func (d *DB) currentManifest() manifest {
 }
 
 func (d *DB) saveManifest() error {
-	var b [manifestBytes]byte
-	d.currentManifest().encode(b[:])
-	return fsutil.WriteFileAtomic(d.fsys, filepath.Join(d.dir, manifestName), b[:], 0o644)
+	return fsutil.WriteFileAtomic(d.fsys, filepath.Join(d.dir, manifestName), d.currentManifest().encode(), 0o644)
 }
 
 // head record: index key (v, 0) → {tailChunk uint32, tailCount uint32}.
@@ -444,32 +444,20 @@ func (d *DB) AdjacencyUsingMetadata(v graph.VertexID, out *graph.AdjList, md int
 // them); the write-back, data syncs, and manifest that follow retire the
 // log so the next recovery starts empty.
 //
-// In durable mode Flush is a redo-only checkpoint in the style of grdb's
-// (DESIGN.md §11): before the commit fsync it appends the image of every
-// dirty page plus one state record sealing the new tree meta and heap
-// tail. Row records alone are not enough once write-back starts — a
-// power cut midway leaves some pages at the new state and some at the
-// old, and logical re-execution against such a half-written tree can
-// descend through a half-applied split into garbage. Recovery instead
-// restores the committed images wholesale (recoverCheckpoint), which
-// never reads the damaged tree at all.
+// In durable mode Flush is the redo checkpoint of DESIGN.md §11: the
+// commit also logs the image of every dirty page and a state record
+// sealing the tree meta and heap tail, because replaying rows against a
+// tree whose write-back a power cut interrupted can descend through a
+// half-applied split into garbage; recovery restores the images instead.
 func (d *DB) Flush() error {
 	if d.closed {
 		return graphdb.ErrClosed
 	}
+	commit := d.log.Sync
 	if d.durable {
-		err := d.cache.Dirty(func(space uint32, block int64, data []byte) error {
-			_, err := d.log.Append(encodeImageRecord(space, block, data))
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		if _, err := d.log.Append(encodeStateRecord(d.currentManifest())); err != nil {
-			return err
-		}
+		commit = func() error { return d.log.Commit(d.cache, d.currentManifest().encode()) }
 	}
-	if err := d.log.Sync(); err != nil { // commit point
+	if err := commit(); err != nil { // commit point
 		return err
 	}
 	if err := d.cache.Flush(); err != nil {

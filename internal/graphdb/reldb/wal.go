@@ -5,39 +5,29 @@ import (
 	"fmt"
 
 	"mssg/internal/graph"
-	"mssg/internal/storage/blockio"
 	"mssg/internal/storage/btree"
+	"mssg/internal/storage/cache"
 	"mssg/internal/storage/wal"
 )
 
-// reldb logs through the shared CRC-framed write-ahead log
-// (storage/wal), replacing its original ad-hoc log — which had no
-// checksums, no replay, and a "recovery" that set the LSN to the file
-// size. Every payload starts with a kind byte:
+// reldb's write-ahead log (storage/wal) holds the checkpoint records
+// every durable Flush commits — block images and one state record
+// carrying the 40 manifest bytes — and, between flushes, logical rows:
 //
 //	'R'  logical row:   vertex uint64 | chunk uint32 | blob
-//	'I'  block image:   space uint32 | block uint64 | data [blockSize]
-//	'S'  flush state:   the 40 manifest bytes (tree meta + heap tail)
 //
-// Row records are appended per statement and group-committed by the
-// next log Sync; they are replayable only against data files that hold
-// exactly the last completed flush — which the no-steal cache
-// guarantees between flushes. During a flush's write-back that guarantee
-// lapses (pages land one at a time), so a durable Flush first appends an
-// image of every dirty page plus one state record: recovery restores the
-// images wholesale instead of re-running statements against a
-// half-written tree (see the checkpoint protocol comment in reldb.go).
+// Rows are appended per statement and group-committed by the next log
+// Sync. They replay only against data files that hold exactly the last
+// committed flush, which no-steal guarantees between flushes but not
+// during a write-back, when pages land one at a time; so recovery first
+// restores the last committed flush's images (recoverCheckpoint), then
+// replays the rows logged after it.
 //
 // A row's chunk 0 is not a row: it carries the vertex's head record
 // ({tailChunk uint32, tailCount uint32} as the blob), logged after the
 // row inserts it summarizes so replay restores heads in order.
 
-// WAL record kinds (first payload byte).
-const (
-	recRow   = 'R'
-	recImage = 'I'
-	recState = 'S'
-)
+const recRow = 'R'
 
 const walRowHeader = 1 + 8 + 4
 
@@ -61,100 +51,17 @@ func decodeWALRecord(p []byte) (vertex int64, chunk uint32, blob []byte, err err
 		p[walRowHeader:], nil
 }
 
-const walImageHeader = 1 + 4 + 8
-
-func encodeImageRecord(space uint32, block int64, data []byte) []byte {
-	b := make([]byte, walImageHeader+len(data))
-	b[0] = recImage
-	binary.LittleEndian.PutUint32(b[1:5], space)
-	binary.LittleEndian.PutUint64(b[5:13], uint64(block))
-	copy(b[walImageHeader:], data)
-	return b
-}
-
-// decodeImageRecord splits an image payload; data aliases p. Must not
-// panic on any input.
-func decodeImageRecord(p []byte) (space uint32, block int64, data []byte, err error) {
-	if len(p) < walImageHeader || p[0] != recImage {
-		return 0, 0, nil, fmt.Errorf("reldb: malformed WAL image record (%d bytes)", len(p))
-	}
-	return binary.LittleEndian.Uint32(p[1:5]),
-		int64(binary.LittleEndian.Uint64(p[5:13])),
-		p[walImageHeader:], nil
-}
-
-func encodeStateRecord(m manifest) []byte {
-	b := make([]byte, 1+manifestBytes)
-	b[0] = recState
-	m.encode(b[1:])
-	return b
-}
-
-// decodeStateRecord parses a state payload. Must not panic on any input.
-func decodeStateRecord(p []byte) (manifest, error) {
-	if len(p) != 1+manifestBytes || p[0] != recState {
-		return manifest{}, fmt.Errorf("reldb: malformed WAL state record (%d bytes)", len(p))
-	}
-	return decodeManifest(p[1:])
-}
-
-// recoverCheckpoint scans the log for the last committed flush (the
-// last state record in the valid prefix) and, when one exists, applies
-// every block image up to it and returns the manifest state it sealed.
-// Images after the last state record — or with no state record at all —
-// belong to a flush whose commit fsync never finished; the no-steal
-// cache guarantees none of their blocks were written back, so they are
-// ignored wholesale. Called before the heap and index are opened, so the
-// restored blocks are what the tree reads.
-func recoverCheckpoint(log *wal.Log, stores map[uint32]*blockio.Store, man manifest) (manifest, uint64, error) {
-	var lastState uint64
-	err := log.Replay(func(r wal.Record) error {
-		if len(r.Payload) > 0 && r.Payload[0] == recState {
-			lastState = r.Seq
-		}
-		return nil
-	})
-	if err != nil {
+// recoverCheckpoint applies the last committed flush in the log to the
+// heap and index stores and returns the manifest it sealed (man when
+// there is none) and its sequence number. Called before the heap and
+// index are opened, so the restored blocks are what the tree reads.
+func recoverCheckpoint(log *wal.Log, stores map[uint32]cache.Store, man manifest) (manifest, uint64, error) {
+	state, seq, err := log.Recover(stores)
+	if err != nil || seq == 0 {
 		return man, 0, err
 	}
-	if lastState == 0 {
-		return man, 0, nil
-	}
-	err = log.Replay(func(r wal.Record) error {
-		if r.Seq > lastState || len(r.Payload) == 0 {
-			return nil
-		}
-		switch r.Payload[0] {
-		case recImage:
-			space, block, data, err := decodeImageRecord(r.Payload)
-			if err != nil {
-				return err
-			}
-			store, ok := stores[space]
-			if !ok {
-				return fmt.Errorf("reldb: WAL image for unknown space %d", space)
-			}
-			if len(data) != store.BlockSize() {
-				return fmt.Errorf("reldb: WAL image for space %d is %d bytes, want %d",
-					space, len(data), store.BlockSize())
-			}
-			if block < 0 {
-				return fmt.Errorf("reldb: WAL image for negative block %d", block)
-			}
-			return store.WriteBlock(block, data)
-		case recState:
-			if r.Seq != lastState {
-				return nil // superseded by a later flush in the same log
-			}
-			m, err := decodeStateRecord(r.Payload)
-			if err != nil {
-				return err
-			}
-			man = m
-		}
-		return nil
-	})
-	return man, lastState, err
+	man, err = decodeManifest(state)
+	return man, seq, err
 }
 
 // replayWAL re-executes every durable row record after afterSeq against
@@ -178,7 +85,7 @@ func (d *DB) replayWAL(afterSeq uint64) (int, error) {
 		if r.Seq <= afterSeq {
 			return nil
 		}
-		if len(r.Payload) > 0 && (r.Payload[0] == recImage || r.Payload[0] == recState) {
+		if len(r.Payload) > 0 && (r.Payload[0] == wal.KindImage || r.Payload[0] == wal.KindState) {
 			return nil
 		}
 		vertex, chunk, blob, err := decodeWALRecord(r.Payload)

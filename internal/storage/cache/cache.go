@@ -335,6 +335,18 @@ func (c *BlockCache) Flush() error {
 	return nil
 }
 
+// Discard drops every resident block without writing any back, so the
+// changes of dirty blocks are lost. A durable backend calls it to
+// abandon a failed mutation, whose blocks no-steal kept off the data
+// files. No handle may be held.
+func (c *BlockCache) Discard() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	clear(c.entries)
+	c.lru.next, c.lru.prev = &c.lru, &c.lru
+	c.size, c.pinned = 0, 0
+}
+
 // Stats returns a snapshot of the cache counters, taken under the same
 // lock that guards pinned-handle updates.
 func (c *BlockCache) Stats() Stats {

@@ -140,3 +140,30 @@ func TestDirtyIteratesInOrder(t *testing.T) {
 		}
 	}
 }
+
+func TestDiscardDropsDirtyBlocks(t *testing.T) {
+	st := newMemStore(64)
+	c := New(1 << 20)
+	c.SetNoSteal(true)
+	c.AttachSpace(0, st)
+	dirtyBlock(t, c, 0, 3, 0xCD)
+	c.Discard()
+	if c.Size() != 0 || c.Stats().Pinned != 0 {
+		t.Fatalf("after Discard: resident %d, pinned %d", c.Size(), c.Stats().Pinned)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st.writes != 0 {
+		t.Fatalf("discarded block written back %d times", st.writes)
+	}
+	// The block reads back from the store, where it was never written.
+	h, err := c.Get(0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	if h.Data()[0] != 0 {
+		t.Fatalf("discarded change visible: %x", h.Data()[0])
+	}
+}

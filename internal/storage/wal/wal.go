@@ -3,7 +3,9 @@
 // ad-hoc log only gestured at: CRC-framed records that can be replayed
 // after a crash, torn-tail truncation, and group commit — any number of
 // Append calls become durable together with a single Sync (one fsync),
-// which is the commit point of every checkpoint built on top of it.
+// which is the commit point of every checkpoint built on top of it. The
+// redo checkpoint the durable backends share lives here too
+// (checkpoint.go).
 //
 // On-disk format: a sequence of records, each
 //
