@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race fuzz chaos crash failover migrate tenants scrub bench-check bench-compare bench bench-workers bench-io bench-migration clean
+.PHONY: ci vet build test race fuzz chaos crash failover migrate tenants scrub bench-check bench-compare bench bench-workers bench-io bench-migration loc clean
 
 # ci keeps the fuzz leg to a 5s-per-target smoke; run `make fuzz` for
 # the full exploration pass.
@@ -116,8 +116,8 @@ bench:
 bench-workers:
 	$(GO) test -run xxx -bench BenchmarkBFSWorkers -benchtime=1x .
 
-# Semi-external I/O engine ablation (DESIGN.md §13): prefetch ×
-# compression on grDB under the harsh disk model.
+# Semi-external I/O engine ablation (DESIGN.md §13): block compression
+# against the baseline on grDB under the harsh disk model.
 bench-io:
 	$(GO) run ./cmd/mssg-bench io
 
@@ -126,6 +126,11 @@ bench-io:
 # commit.
 bench-migration:
 	$(GO) run ./cmd/mssg-bench migration
+
+# Non-test Go lines outside the benchmark module: the size figure the
+# roadmap and simplicity changes quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l
 
 clean:
 	$(GO) clean ./...

@@ -257,27 +257,6 @@ func BenchmarkAblationFabric(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPrefetch measures the paper's §4.2 future-work
-// optimization: warming grDB's cache with offset-sorted fringe prefetch
-// before each BFS level, with a cache big enough to hold a level's
-// working set but simulated latency on every physical read.
-func BenchmarkAblationPrefetch(b *testing.B) {
-	for _, prefetch := range []bool{false, true} {
-		name := "no-prefetch"
-		if prefetch {
-			name = "prefetch"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				total, traversed := measureSearch(b, "grdb",
-					graphdb.Options{CacheBytes: 1 << 20, SimReadLatency: 25 * time.Microsecond},
-					ingest.Config{}, query.BFSConfig{Prefetch: prefetch})
-				reportSearch(b, total, traversed, len(ablationPairs))
-			}
-		})
-	}
-}
-
 // BenchmarkAblationClusteringPolicy compares modulo vertex declustering
 // against the §3.2 summary-based greedy affinity policy, reporting the
 // cross-node fringe traffic each induces during search.

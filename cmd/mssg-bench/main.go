@@ -38,8 +38,6 @@ func main() {
 		"per-ingestion deadline (0 = none); overruns abort the experiment instead of hanging")
 	metricsAddr := flag.String("metrics-addr", "",
 		"serve live /metrics, /trace and /debug/pprof on this address during the run (turns on the gated per-op metrics)")
-	prefetch := flag.Bool("prefetch", false,
-		"enable pipelined fringe prefetch in every search experiment's BFS (grDB; other backends ignore it)")
 	compress := flag.Bool("compress", false,
 		"open every out-of-core grDB with delta-varint block compression")
 	check := flag.Bool("check", false,
@@ -76,7 +74,7 @@ func main() {
 	p := &experiments.Params{
 		Scale: *scale, Queries: *queries, Dir: workDir, Workers: *workers,
 		FaultSeed: *faultSeed, Deadline: *deadline,
-		Prefetch: *prefetch, Compress: *compress,
+		Compress: *compress,
 		// A live /metrics view is only worth serving with the gated
 		// per-op latency histograms and cache mirrors on.
 		Metrics: *metricsAddr != "",

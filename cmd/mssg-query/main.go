@@ -56,7 +56,6 @@ func main() {
 	pipelined := flag.Bool("pipelined", false, "use the pipelined BFS (Algorithm 2)")
 	threshold := flag.Int("threshold", 1024, "pipelined fringe chunk threshold")
 	broadcast := flag.Bool("broadcast", false, "broadcast fringes (for edge-granularity databases)")
-	prefetch := flag.Bool("prefetch", false, "warm the block cache per level with offset-sorted prefetch (grDB)")
 	workers := flag.Int("workers", 0, "fringe-expansion goroutines per back-end node (0 = GOMAXPROCS, 1 = serial)")
 	showPath := flag.Bool("path", false, "also reconstruct and print the shortest path")
 	extVisited := flag.String("extvisited", "", "directory for an external-memory visited structure (default: in-memory)")
@@ -176,8 +175,7 @@ func main() {
 
 	base := query.BFSConfig{
 		Routing:   query.Routing{Ownership: ownership, ActiveNodes: activeNodes},
-		Pipelined: *pipelined, Threshold: *threshold,
-		Prefetch: *prefetch, Workers: *workers,
+		Pipelined: *pipelined, Threshold: *threshold, Workers: *workers,
 	}
 	if *serve {
 		tenants, err := parseTenantSpec(*tenantSpec, *tenantInflight, *tenantQueue)
@@ -210,7 +208,7 @@ func main() {
 		}
 		kh, err := eng.KHop(query.KHopConfig{
 			Source: graph.VertexID(*source), K: *khop,
-			Routing: base.Routing, Prefetch: base.Prefetch,
+			Routing: base.Routing,
 		})
 		if err != nil {
 			fatalQuery(err)

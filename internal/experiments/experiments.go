@@ -102,10 +102,6 @@ type Params struct {
 	// obs.Default(). Off by default: the per-op clock reads distort the
 	// finest-grained comparisons.
 	Metrics bool
-	// Prefetch turns on fringe prefetch in every search experiment's BFS
-	// (pipelined with expansion when the backend implements
-	// graphdb.AsyncPrefetcher; other backends ignore it).
-	Prefetch bool
 	// Compress opens every out-of-core grDB with delta-varint block
 	// compression (DESIGN.md §13). Other backends ignore it.
 	Compress bool
@@ -304,7 +300,7 @@ func All() []Experiment {
 		{"fig5.7", "search edges/s, PubMed-L', varying back-ends", Fig57},
 		{"fig5.8", "search time, Syn', grDB, visited in-mem vs external", Fig58},
 		{"fig5.9", "search edges/s, Syn', grDB", Fig59},
-		{"io", "semi-external I/O engine ablation: prefetch × compression, grDB", IOEngine},
+		{"io", "semi-external I/O engine ablation: block compression, grDB", IOEngine},
 		{"migration", "BFS latency during live shard migration vs quiescent, hashmap", Migration},
 	}
 }

@@ -11,9 +11,8 @@ import (
 )
 
 // IOEngine ablates the semi-external I/O engine (DESIGN.md §13) on the
-// out-of-core grDB: asynchronous fringe prefetch and delta-varint block
-// compression, alone and combined, against the plain configuration every
-// other experiment uses.
+// out-of-core grDB: delta-varint block compression against the plain
+// configuration every other experiment uses.
 //
 // The disk model is deliberately harsher than oocOptions(): a smaller
 // cache budget so the working set spills, and a per-byte transfer
@@ -36,16 +35,13 @@ const (
 // ioConfig is one ablation point.
 type ioConfig struct {
 	name     string
-	prefetch bool
 	compress bool
 }
 
 func ioConfigs() []ioConfig {
 	return []ioConfig{
 		{name: "baseline"},
-		{name: "prefetch", prefetch: true},
 		{name: "compress", compress: true},
-		{name: "all", prefetch: true, compress: true},
 	}
 }
 
@@ -90,19 +86,19 @@ func IOEngine(p *Params) (*Table, error) {
 	}
 	pairs := gen.RandomQueryPairs(edges, cfg.Vertices, p.queries(), 99)
 
-	// The ablation axes are the experiment's own sweep; a copy with the
-	// global -prefetch/-compress flags cleared keeps buildEngine from
-	// contaminating the baseline rows.
+	// The ablation axis is the experiment's own sweep; a copy with the
+	// global -compress flag cleared keeps buildEngine from contaminating
+	// the baseline row.
 	pIO := *p
-	pIO.Prefetch, pIO.Compress = false, false
+	pIO.Compress = false
 
 	t := &Table{
 		ID:     "io",
 		Title:  fmt.Sprintf("semi-external I/O engine ablation, PubMed-S' scale=%g, grDB b=%d", p.scale(), ioBackends),
 		Header: []string{"config", "ingest(s)", "avg query(ms)", "edges/s", "qry blk reads", "qry MB read"},
 		Notes: []string{
-			"all (prefetch+compress) should beat baseline on edges/s",
-			"compress rows should read fewer bytes than their uncompressed counterparts",
+			"compress should beat baseline on edges/s",
+			"compress should read fewer bytes than baseline",
 			fmt.Sprintf("disk model: %v/block access + %v/byte, cache %d KB/node (working set spills)",
 				SimLatency, ioTransferLatency, ioCacheBytes>>10),
 		},
@@ -125,7 +121,7 @@ func IOEngine(p *Params) (*Table, error) {
 		p.logf("io %s: ingest %s", c.name, ingest)
 
 		before := snapshotIO(e.Databases())
-		qs, err := runQueries(e, pairs, query.BFSConfig{Workers: 1, Prefetch: c.prefetch})
+		qs, err := runQueries(e, pairs, query.BFSConfig{Workers: 1})
 		after := snapshotIO(e.Databases())
 		e.Close()
 		if err != nil {

@@ -57,7 +57,7 @@ func largeRuns(p *Params) (map[string]map[int]*largeRun, error) {
 				return nil, fmt.Errorf("fig5.5 ingest %s b=%d: %w", backend, nb, err)
 			}
 			p.logf("fig5.5 %s b=%d: ingest %s", backend, nb, d)
-			qs, err := runQueries(e, pairs, query.BFSConfig{Workers: p.Workers, Prefetch: p.Prefetch})
+			qs, err := runQueries(e, pairs, query.BFSConfig{Workers: p.Workers})
 			e.Close()
 			if err != nil {
 				return nil, fmt.Errorf("fig5.6 query %s b=%d: %w", backend, nb, err)
@@ -186,7 +186,7 @@ func synRuns(p *Params) (map[string]map[int]*queryStats, error) {
 			e.Close()
 			return nil, fmt.Errorf("fig5.8 ingest b=%d: %w", nb, err)
 		}
-		memQS, err := runQueries(e, pairs, query.BFSConfig{Workers: p.Workers, Prefetch: p.Prefetch})
+		memQS, err := runQueries(e, pairs, query.BFSConfig{Workers: p.Workers})
 		if err != nil {
 			e.Close()
 			return nil, fmt.Errorf("fig5.8 mem-visited b=%d: %w", nb, err)
@@ -196,8 +196,7 @@ func synRuns(p *Params) (map[string]map[int]*queryStats, error) {
 		visitedRoot := fmt.Sprintf("%s/%s-visited", p.Dir, label)
 		var visitedSeq atomic.Int64
 		extQS, err := runQueries(e, pairs, query.BFSConfig{
-			Workers:  p.Workers,
-			Prefetch: p.Prefetch,
+			Workers: p.Workers,
 			NewVisited: func(n cluster.NodeID) (query.Visited, error) {
 				q := visitedSeq.Add(1)
 				return query.NewExtVisited(fmt.Sprintf("%s/q%d-n%d", visitedRoot, q, n), 0)

@@ -38,7 +38,7 @@ func searchOneBackend(p *Params, label, backend string, edges []graph.Edge,
 		return nil, err
 	}
 	p.logf("%s: ingested, querying", label)
-	return runQueries(e, pairs, query.BFSConfig{Workers: p.Workers, Prefetch: p.Prefetch})
+	return runQueries(e, pairs, query.BFSConfig{Workers: p.Workers})
 }
 
 // Fig51 reproduces Figure 5.1: search performance of the in-memory

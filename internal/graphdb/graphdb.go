@@ -235,6 +235,12 @@ func AdjacencyBatch(g Graph, fringe []graph.VertexID, out *graph.AdjList, md int
 // caches for a whole fringe with offset-sorted reads before expansion
 // (the pre-fetching optimization of paper §4.2). It returns the number
 // of blocks touched.
+//
+// No query path calls it: the traversal kernel sorts each level into
+// block order instead (DESIGN.md §8.1), which reads no more blocks. It
+// stays, with AsyncPrefetcher and PrefetchJob, only because the
+// benchmark module's wrapper-capability test still expects grDB to
+// expose it; it goes when that test does.
 type Prefetcher interface {
 	PrefetchAdjacency(fringe []graph.VertexID) (int, error)
 }
@@ -262,7 +268,8 @@ type PrefetchJob interface {
 // goroutine is left running. Prefetching is an accelerator: a job error
 // only means the cache was not fully warmed, never that data is wrong,
 // so callers may ignore it and let expansion surface any real I/O
-// failure.
+// failure. Like Prefetcher, it has no caller on the query path and is
+// kept only for the benchmark module's wrapper-capability test.
 type AsyncPrefetcher interface {
 	PrefetchAsync(ctx context.Context, fringe []graph.VertexID) PrefetchJob
 }

@@ -509,9 +509,9 @@ func TestFailedFlushKeepsWhatTheLogHolds(t *testing.T) {
 		}
 		for pass := 0; pass < 2; pass++ {
 			blob, _ := d.GetCheckpoint()
-			if got := neighbors(t, d, 2); len(got) != want || string(blob) != wantBlob || d.edges != int64(5+want) {
+			if got := neighbors(t, d, 2); len(got) != want || string(blob) != wantBlob || d.edges.Load() != int64(5+want) {
 				t.Fatalf("%s %s, pass %d: %d neighbours, %d edges, blob %q; want %d, %d, %q",
-					tc.file, tc.op, pass, len(got), d.edges, blob, want, 5+want, wantBlob)
+					tc.file, tc.op, pass, len(got), d.edges.Load(), blob, want, 5+want, wantBlob)
 			}
 			if err := d.Close(); err != nil {
 				t.Fatal(err)
@@ -560,8 +560,11 @@ func TestFailedStoreLeavesNoTrace(t *testing.T) {
 		t.Fatalf("StoreEdges with a failing read: %v, want EIO", err)
 	}
 	fsys.armed = false
-	if d.edges != n {
-		t.Fatalf("after the failed store: %d edges, want the committed %d", d.edges, n)
+	if got := d.edges.Load(); got != n {
+		t.Fatalf("after the failed store: %d edges, want the committed %d", got, n)
+	}
+	if got := d.Stats().EdgesStored; got != n {
+		t.Fatalf("after the failed store: Stats reports %d edges, want the committed %d", got, n)
 	}
 	if err := d.StoreEdges(batch(2)); err != nil {
 		t.Fatal(err)

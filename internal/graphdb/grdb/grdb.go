@@ -137,9 +137,10 @@ type DB struct {
 	// Defragment sweep. Persisted in the manifest; -1 when empty.
 	maxVertex graph.VertexID
 
-	// edges counts the edges stored. Persisted in the manifest; unlike
-	// the monotonic stats count, a failed durable mutation rewinds it.
-	edges int64
+	// edges counts the edges stored and is what Stats reports. Persisted
+	// in the manifest; a failed durable mutation rewinds it. Atomic so
+	// Stats may read it while a store runs.
+	edges atomic.Int64
 
 	// tailHint caches each vertex's chain tail so appends skip the walk
 	// from level 0 — the "smart caching ... to reduce the number of disk

@@ -133,7 +133,7 @@ func decodeState(b []byte, levels int) (manifestState, error) {
 func (d *DB) manifestState() manifestState {
 	return manifestState{
 		gen:       d.manifestGen,
-		edges:     d.edges,
+		edges:     d.edges.Load(),
 		maxVertex: d.maxVertex,
 		nextFree:  d.nextFree,
 		ckpt:      d.ckptStaged,
@@ -143,8 +143,7 @@ func (d *DB) manifestState() manifestState {
 func (d *DB) applyManifestState(st manifestState) {
 	d.manifestGen = st.gen
 	d.genMirror.Store(st.gen)
-	d.edges = st.edges
-	d.stats.SetEdgesStored(st.edges)
+	d.edges.Store(st.edges)
 	d.maxVertex = st.maxVertex
 	copy(d.nextFree, st.nextFree)
 	d.ckptStaged = st.ckpt

@@ -35,8 +35,7 @@ func (d *DB) StoreEdges(edges []graph.Edge) error {
 		if err := d.appendNeighbors(src, dsts); err != nil {
 			return err
 		}
-		d.edges += int64(len(dsts))
-		d.stats.AddEdgesStored(int64(len(dsts)))
+		d.edges.Add(int64(len(dsts)))
 		if src > d.maxVertex {
 			d.maxVertex = src
 		}
@@ -295,7 +294,11 @@ func (d *DB) Close() error {
 }
 
 // Stats implements graphdb.Graph.
-func (d *DB) Stats() graphdb.Stats { return d.stats.Snapshot() }
+func (d *DB) Stats() graphdb.Stats {
+	s := d.stats.Snapshot()
+	s.EdgesStored = d.edges.Load()
+	return s
+}
 
 // Generation implements graphdb.GenerationReader: the manifest
 // generation, bumped by every Flush (and checkpoint commit), read

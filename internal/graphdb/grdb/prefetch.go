@@ -20,6 +20,12 @@ import (
 // it walks the fringe's chains breadth-first — one chain depth per wave
 // — warming the block cache with each wave's blocks in file-offset
 // order, so random fringe access becomes near-sequential I/O.
+//
+// No query runs it any more: the traversal kernel sorts each level into
+// block order, which already reads what the waves read, and with fewer
+// block reads. The engine stays only because the benchmark module's
+// wrapper-capability test pins graphdb.Prefetcher and AsyncPrefetcher on
+// grDB; it is deleted together with that test.
 
 // blockRef identifies one block for the prefetch walk.
 type blockRef struct {

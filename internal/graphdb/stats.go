@@ -27,20 +27,6 @@ type StatCounters struct {
 // AddEdgesStored credits n edges accepted by StoreEdges.
 func (c *StatCounters) AddEdgesStored(n int64) { c.edgesStored.Add(n) }
 
-// SetEdgesStored raises the stored-edge count to n if it is below it.
-// Manifest reloads use this to restore the persisted count; the clamp
-// keeps EdgesStored monotonic when edges were stored before the reload
-// (a plain store would rewind the count, breaking Snapshot's documented
-// monotonicity and any rate computed from it).
-func (c *StatCounters) SetEdgesStored(n int64) {
-	for {
-		cur := c.edgesStored.Load()
-		if n <= cur || c.edgesStored.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
 // EdgesStored returns the current stored-edge count.
 func (c *StatCounters) EdgesStored() int64 { return c.edgesStored.Load() }
 

@@ -1,55 +1,10 @@
 package graphdb
 
 import (
-	"sync"
 	"testing"
 
 	"mssg/internal/obs"
 )
-
-// TestSetEdgesStoredMonotonic: a manifest reload that races (or follows)
-// live stores must never rewind the stored-edge count — Snapshot
-// documents the counts as monotonic.
-func TestSetEdgesStoredMonotonic(t *testing.T) {
-	var c StatCounters
-	c.SetEdgesStored(100) // manifest reload on a fresh instance
-	if got := c.EdgesStored(); got != 100 {
-		t.Fatalf("after reload: %d, want 100", got)
-	}
-	c.AddEdgesStored(50)
-	c.SetEdgesStored(100) // stale reload must not rewind past live stores
-	if got := c.EdgesStored(); got != 150 {
-		t.Fatalf("after stale reload: %d, want 150", got)
-	}
-	c.SetEdgesStored(300) // a larger persisted count still wins
-	if got := c.EdgesStored(); got != 300 {
-		t.Fatalf("after larger reload: %d, want 300", got)
-	}
-}
-
-// TestSetEdgesStoredConcurrent hammers the CAS clamp against concurrent
-// adds under -race: the final count must reflect every add on top of the
-// largest baseline.
-func TestSetEdgesStoredConcurrent(t *testing.T) {
-	var c StatCounters
-	c.SetEdgesStored(1 << 30)
-	const workers, iters = 8, 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				c.AddEdgesStored(1)
-				c.SetEdgesStored(1 << 30) // repeated stale reloads
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.EdgesStored(); got != 1<<30+workers*iters {
-		t.Fatalf("final count %d, want %d", got, 1<<30+workers*iters)
-	}
-}
 
 func TestLatencyMetricsGated(t *testing.T) {
 	var c StatCounters

@@ -27,10 +27,8 @@ type Manifest struct {
 
 // Placement-manifest magics. placementMagic ("MSSGPL01", PR 7) has no
 // epoch, no member subset, and no pending slot; manifestMagic
-// ("MSSGPL02") adds all three. The encoder emits the oldest magic that
-// can represent the value, so quiescent epoch-0 directories stay
-// readable by pre-elasticity binaries, and each accepted byte string has
-// exactly one encoding (the fuzzer checks decode∘encode = id).
+// ("MSSGPL02") adds all three. The encoder always emits v2; the decoder
+// still reads v1, so pre-elasticity directories keep opening.
 const (
 	placementMagic = "MSSGPL01"
 	manifestMagic  = "MSSGPL02"
@@ -39,12 +37,6 @@ const (
 // PlacementFile is the placement manifest's name under the database
 // working directory.
 const PlacementFile = "placement.mssg"
-
-// v1Expressible reports whether m can be carried by the PR 7 codec:
-// a quiescent, epoch-0 placement over the full node-ID space.
-func v1Expressible(m Manifest) bool {
-	return m.Pending == nil && m.Committed.Epoch == 0 && m.Committed.Nodes == nil
-}
 
 func appendPlacementBody(b []byte, p Placement) []byte {
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(p.Policy)))
@@ -60,23 +52,11 @@ func appendPlacementBody(b []byte, p Placement) []byte {
 	return b
 }
 
-// EncodeManifest serializes m with a CRC32 trailer. Epoch-0 quiescent
-// manifests use the v1 layout (magic, length-prefixed policy name,
-// backends, replication, seed); everything else uses v2, which appends
-// epoch and member list to each placement body and carries an optional
-// pending placement.
+// EncodeManifest serializes m in the v2 layout with a CRC32 trailer:
+// each placement body is the length-prefixed policy name, backends,
+// replication, seed, epoch and member list, and a flag byte says
+// whether a pending placement follows the committed one.
 func EncodeManifest(m Manifest) []byte {
-	if v1Expressible(m) {
-		p := m.Committed
-		b := make([]byte, 0, len(placementMagic)+2+len(p.Policy)+4+4+8+4)
-		b = append(b, placementMagic...)
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(p.Policy)))
-		b = append(b, p.Policy...)
-		b = binary.LittleEndian.AppendUint32(b, uint32(p.Backends))
-		b = binary.LittleEndian.AppendUint32(b, uint32(p.Replication))
-		b = binary.LittleEndian.AppendUint64(b, p.Seed)
-		return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-	}
 	b := append([]byte(nil), manifestMagic...)
 	b = appendPlacementBody(b, m.Committed)
 	if m.Pending != nil {
@@ -158,9 +138,7 @@ func decodePlacementBody(b []byte) (Placement, []byte, error) {
 
 // DecodeManifest parses and validates an encoded manifest in either
 // layout. It must never panic on arbitrary input (fuzzed) and rejects
-// anything a valid encoder cannot produce — including a v2 encoding of a
-// manifest the v1 layout could carry, so every accepted value has one
-// canonical byte string.
+// anything a valid encoder of either layout cannot produce.
 func DecodeManifest(b []byte) (Manifest, error) {
 	var m Manifest
 	if len(b) < len(placementMagic)+2 {
@@ -234,9 +212,6 @@ func DecodeManifest(b []byte) (Manifest, error) {
 		return m, fmt.Errorf("ingest: bad pending flag %d", hasPending)
 	}
 	m.Committed = committed
-	if v1Expressible(m) {
-		return m, fmt.Errorf("ingest: non-canonical v2 encoding of an epoch-0 quiescent placement")
-	}
 	return m, nil
 }
 

@@ -82,10 +82,6 @@ type BFSConfig struct {
 	// MaxLevels aborts runaway searches; <= 0 means 64 (far beyond any
 	// small-world diameter).
 	MaxLevels int
-	// Prefetch warms the storage cache for each level's fringe with
-	// offset-sorted reads before expansion, when the backend supports it
-	// (the paper's §4.2 pre-fetching optimization; grDB implements it).
-	Prefetch bool
 	// Filter restricts expansion to neighbours whose per-vertex metadata
 	// passes a Listing 3.1 filter — semantic traversal when vertex types
 	// are stored as metadata (e.g. FilterEqual with ref = a type id walks

@@ -665,9 +665,9 @@ func (e *Engine) KHopAs(ctx context.Context, tenant string, cfg KHopConfig) (*Qu
 // derived deterministically from the placement at a given epoch, which
 // the key already carries, so they do not need to appear — callers
 // injecting a custom directory that varies within one epoch should
-// disable caching. Performance-only knobs (Workers, Prefetch,
-// Threshold) are deliberately excluded: they cannot change the result,
-// so excluding them lets differently-tuned submissions share entries.
+// disable caching. Performance-only knobs (Workers, Threshold) are
+// deliberately excluded: they cannot change the result, so excluding
+// them lets differently-tuned submissions share entries.
 func bfsCacheKey(cfg BFSConfig) (string, bool) {
 	if cfg.NewVisited != nil {
 		return "", false

@@ -17,12 +17,10 @@ import (
 	"mssg/internal/storage/vfs"
 )
 
-// Conformance suite for the pipelined async prefetch (DESIGN.md §13):
-// BFS and k-hop with the prefetch pipeline must return exactly what the
-// serial no-prefetch reference returns, cancellation must leave no
-// prefetch goroutine behind, and injected prefetch I/O errors must
-// never produce wrong results. The whole file is run under -race by the
-// ci target.
+// Fault suite for the kernel's expansion read path on grDB: cancelling a
+// query on a slow device must make it return, and injected block-read
+// I/O errors must never produce wrong results. The whole file is run
+// under -race by the ci target.
 
 // grdbLevels keeps chains multi-level on small test graphs.
 func grdbLevels() []graphdb.LevelSpec {
@@ -75,103 +73,9 @@ func blankTimings(r *BFSResult) {
 	}
 }
 
-// TestAsyncPrefetchMatchesSerialBFS: for every interesting backend
-// configuration, a BFS with the prefetch pipeline returns exactly what
-// the serial no-prefetch reference returns — every field, not just
-// Found/PathLength.
-func TestAsyncPrefetchMatchesSerialBFS(t *testing.T) {
-	edges, err := gen.Generate(gen.Config{Name: "apf", Vertices: 600, M: 2, HubFraction: 0.15, Seed: 77})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const p = 3
-	configs := []struct {
-		name string
-		mod  func(i int, o *graphdb.Options)
-	}{
-		{"plain", nil},
-		{"compressed", func(i int, o *graphdb.Options) { o.Compress = true }},
-		{"durable", func(i int, o *graphdb.Options) { o.Durability = graphdb.DurabilityFull }},
-	}
-	for _, tc := range configs {
-		t.Run(tc.name, func(t *testing.T) {
-			f := cluster.NewInProc(p, 0)
-			defer f.Close()
-			dbs := grdbPartition(t, edges, p, tc.mod)
-			for _, dest := range []graph.VertexID{1, 137, 599, 4242 /* absent */} {
-				base := BFSConfig{Source: 0, Dest: dest}
-				ref, err := ParallelBFS(context.Background(), f, dbs, base)
-				if err != nil {
-					t.Fatalf("reference BFS 0->%d: %v", dest, err)
-				}
-				pf := base
-				pf.Prefetch = true
-				got, err := ParallelBFS(context.Background(), f, dbs, pf)
-				if err != nil {
-					t.Fatalf("prefetch BFS 0->%d: %v", dest, err)
-				}
-				blankTimings(&ref)
-				blankTimings(&got)
-				if !reflect.DeepEqual(got, ref) {
-					t.Fatalf("0->%d prefetch result diverged:\ngot  %+v\nwant %+v", dest, got, ref)
-				}
-				// Prefetch with parallel expansion on top.
-				pw := pf
-				pw.Workers = 4
-				got2, err := ParallelBFS(context.Background(), f, dbs, pw)
-				if err != nil {
-					t.Fatalf("prefetch+workers BFS 0->%d: %v", dest, err)
-				}
-				blankTimings(&got2)
-				if !reflect.DeepEqual(got2, ref) {
-					t.Fatalf("0->%d prefetch+workers diverged:\ngot  %+v\nwant %+v", dest, got2, ref)
-				}
-			}
-			// No prefetch goroutine survives the queries.
-			for i, db := range dbs {
-				if g := db.(*grdb.DB).PrefetchGoroutines(); g != 0 {
-					t.Fatalf("node %d: %d prefetch goroutines alive after queries", i, g)
-				}
-			}
-		})
-	}
-}
-
-// TestAsyncPrefetchMatchesSerialKHop: same conformance for the k-hop
-// analysis.
-func TestAsyncPrefetchMatchesSerialKHop(t *testing.T) {
-	edges, err := gen.Generate(gen.Config{Name: "apk", Vertices: 500, M: 3, Seed: 19})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const p = 3
-	f := cluster.NewInProc(p, 0)
-	defer f.Close()
-	dbs := grdbPartition(t, edges, p, nil)
-	for _, k := range []int{1, 2, 4} {
-		ref, err := ParallelKHop(context.Background(), f, dbs, KHopConfig{Source: 7, K: k})
-		if err != nil {
-			t.Fatalf("reference khop k=%d: %v", k, err)
-		}
-		got, err := ParallelKHop(context.Background(), f, dbs, KHopConfig{Source: 7, K: k, Prefetch: true})
-		if err != nil {
-			t.Fatalf("prefetch khop k=%d: %v", k, err)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("k=%d prefetch khop diverged:\ngot  %+v\nwant %+v", k, got, ref)
-		}
-	}
-	for i, db := range dbs {
-		if g := db.(*grdb.DB).PrefetchGoroutines(); g != 0 {
-			t.Fatalf("node %d: %d prefetch goroutines alive", i, g)
-		}
-	}
-}
-
-// TestAsyncPrefetchCancellationNoLeak: cancelling a prefetching query on
-// a slow simulated device must abort it and leave zero prefetch
-// goroutines on every node.
-func TestAsyncPrefetchCancellationNoLeak(t *testing.T) {
+// TestExpandCancellationNoLeak: cancelling a query on a slow simulated
+// device must abort it.
+func TestExpandCancellationNoLeak(t *testing.T) {
 	edges, err := gen.Generate(gen.Config{Name: "apc", Vertices: 800, M: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -181,17 +85,17 @@ func TestAsyncPrefetchCancellationNoLeak(t *testing.T) {
 	defer f.Close()
 	dbs := grdbPartition(t, edges, p, func(i int, o *graphdb.Options) {
 		o.SimReadLatency = time.Millisecond
-		o.CacheBytes = 64 << 10 // small cache: prefetch really reads
+		o.CacheBytes = 64 << 10 // small cache: expansion really reads
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := ParallelBFS(ctx, f, dbs, BFSConfig{Source: 0, Dest: 4242, Prefetch: true})
+		_, err := ParallelBFS(ctx, f, dbs, BFSConfig{Source: 0, Dest: 4242})
 		if err == nil {
 			// The graph has no vertex 4242, so an uncancelled run returns
 			// found=false with a nil error; either outcome is fine — the
-			// invariant under test is goroutine cleanup.
+			// invariant under test is that the query returns.
 			return
 		}
 	}()
@@ -202,17 +106,12 @@ func TestAsyncPrefetchCancellationNoLeak(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("cancelled query did not return")
 	}
-	for i, db := range dbs {
-		if g := db.(*grdb.DB).PrefetchGoroutines(); g != 0 {
-			t.Fatalf("node %d: %d prefetch goroutines alive after cancellation", i, g)
-		}
-	}
 }
 
 // flakyFS wraps the real filesystem and, once armed, makes every nth
 // ReadAt on block files fail with EIO. Writes are untouched, and the
 // injector stays disarmed during ingest, so only the query's read path
-// (prefetch and expansion alike) sees faults.
+// sees faults.
 type flakyFS struct {
 	vfs.FS
 	n     int64
@@ -240,11 +139,10 @@ func (f *flakyFile) ReadAt(p []byte, off int64) (int, error) {
 	return f.File.ReadAt(p, off)
 }
 
-// TestAsyncPrefetchErrorInjection: with transient EIO faults injected
-// under both the prefetch and expansion read paths, a query either
-// fails cleanly or returns exactly the fault-free reference result —
-// never silently wrong data — and never leaks a goroutine.
-func TestAsyncPrefetchErrorInjection(t *testing.T) {
+// TestExpandErrorInjection: with transient EIO faults injected under
+// the expansion read path, a query either fails cleanly or returns
+// exactly the fault-free reference result — never silently wrong data.
+func TestExpandErrorInjection(t *testing.T) {
 	edges, err := gen.Generate(gen.Config{Name: "ape", Vertices: 400, M: 2, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -276,9 +174,9 @@ func TestAsyncPrefetchErrorInjection(t *testing.T) {
 		{2, 1, -1},
 		{3, 1, -1},
 		{7, 1, -1},
-		// Small cache, two nodes: most faults land in the advisory
-		// prefetch path or are absorbed by hits, so the query can still
-		// succeed — and then must match the reference exactly.
+		// Small cache, two nodes: sparse faults can miss the query's
+		// reads, so it can still succeed — and then must match the
+		// reference exactly.
 		{31, 2, 32 << 10},
 		{101, 2, 32 << 10},
 	}
@@ -292,7 +190,7 @@ func TestAsyncPrefetchErrorInjection(t *testing.T) {
 		})
 		fsys.armed.Store(true) // ingest done — start faulting reads
 		got, err := ParallelBFS(context.Background(), f, dbs, BFSConfig{
-			Source: 0, Dest: 399, Prefetch: true, Workers: 2,
+			Source: 0, Dest: 399, Workers: 2,
 		})
 		if err != nil {
 			sawError = true
@@ -301,11 +199,6 @@ func TestAsyncPrefetchErrorInjection(t *testing.T) {
 			blankTimings(&got)
 			if !reflect.DeepEqual(got, refs[tc.p]) {
 				t.Fatalf("n=%d: faulty run returned nil error with wrong result:\ngot  %+v\nwant %+v", n, got, refs[tc.p])
-			}
-		}
-		for i, db := range dbs {
-			if g := db.(*grdb.DB).PrefetchGoroutines(); g != 0 {
-				t.Fatalf("n=%d node %d: %d prefetch goroutines alive after faulty query", n, i, g)
 			}
 		}
 		f.Close()

@@ -20,16 +20,14 @@ import (
 // The traversal kernel: the one parallel out-of-core search of paper
 // §4.2. An analysis that walks the graph level by level is a front-end:
 // it fills in a traversal, gives runTraversal a per-node loop over
-// kernel.step, and reads the outcome off the kernel. One step is warm →
-// sort → expand → exchange → settle; seed runs before the first.
+// kernel.step, and reads the outcome off the kernel. One step is sort →
+// expand → exchange → settle; seed runs before the first.
 //
 // The sort puts the fringe in ascending vertex order, which is block
 // order: grDB lays level 0 and each window's sub-blocks out by source
 // vertex, so vertices that share a block are read back to back instead
 // of being scattered across the level and evicted between their reads.
-// Every read path of expand gets the sorted fringe. The sort runs after
-// warm because until warm joins the async prefetch jobs they read slices
-// that share the fringe's backing array.
+// Every read path of expand gets the sorted fringe.
 //
 // The paper's two exchange disciplines are one value, kernel.chunk: 0
 // ships each peer's share at the end of the level (Algorithm 1), n > 0
@@ -111,12 +109,6 @@ type kernel struct {
 	workers int
 	chunk   int
 
-	asyncPf graphdb.AsyncPrefetcher // set only when Prefetch is on
-	// pending holds the async prefetch jobs for the fringe about to be
-	// expanded: its chains warm in the background while the exchange and
-	// the barrier run. warm joins them; close cancels what is left, so no
-	// prefetch goroutine outlives the query on any exit path.
-	pending []graphdb.PrefetchJob
 	parents map[graph.VertexID]graph.VertexID // BFS predecessors, for ReturnPath
 	span    *obs.Span
 	adj     *graph.AdjList // the node goroutine's adjacency buffer, held for the whole query
@@ -153,9 +145,6 @@ func newKernel(ctx context.Context, ep cluster.Endpoint, rst *roster, qc queryCh
 		owner = func(v graph.VertexID) cluster.NodeID { return cluster.Owner(int64(v), p) }
 	}
 	k.rt = &vertexRouter{rst: rst, owner: owner, replicas: tr.ReplicasOf}
-	if tr.Prefetch {
-		k.asyncPf, _ = db.(graphdb.AsyncPrefetcher)
-	}
 	if tr.ReturnPath {
 		k.parents = make(map[graph.VertexID]graph.VertexID)
 	}
@@ -172,10 +161,6 @@ func (k *kernel) newLane() lane {
 }
 
 func (k *kernel) close() {
-	for _, j := range k.pending {
-		j.Cancel()
-	}
-	k.joinPrefetch()
 	k.span.End()
 	putAdjList(k.adj)
 	k.release()
@@ -231,34 +216,6 @@ func (k *kernel) seed() error {
 	}
 	k.fringe = append(k.fringe, k.tr.Source)
 	return nil
-}
-
-// warm gets the fringe's chains into the storage cache before expansion
-// (the §4.2 pre-fetching optimization).
-func (k *kernel) warm() {
-	// On the first level nothing is in flight yet: issue and join at once.
-	if len(k.pending) == 0 {
-		k.prewarm(k.fringe)
-	}
-	k.joinPrefetch()
-}
-
-// prewarm starts warming part of the next fringe in the background. ids
-// must not be modified afterwards: the job reads it concurrently.
-func (k *kernel) prewarm(ids []graph.VertexID) {
-	if k.asyncPf != nil && len(ids) > 0 {
-		k.pending = append(k.pending, k.asyncPf.PrefetchAsync(k.ctx, ids))
-	}
-}
-
-// joinPrefetch ignores job errors: they are advisory — the cache was not
-// fully warmed, never that data is wrong — and expansion surfaces any
-// real I/O failure.
-func (k *kernel) joinPrefetch() {
-	for _, j := range k.pending {
-		_ = j.Wait()
-	}
-	k.pending = k.pending[:0]
 }
 
 // scan marks ids — the adjacency of parent — at the current level and
@@ -542,9 +499,6 @@ func (k *kernel) take(u, parent graph.VertexID) error {
 // peer's chunks precede it. After it the next fringe is final.
 func (k *kernel) exchange() error {
 	local := k.main.next
-	// The locally discovered share is final already: its chains start
-	// warming now, overlapped with the sends, receives and the barrier.
-	k.prewarm(local)
 	for _, q := range k.rst.nodes {
 		if q == k.self {
 			continue
@@ -568,8 +522,6 @@ func (k *kernel) exchange() error {
 	k.doneSeen = 0
 	k.fringe = append(local, k.absorbed...)
 	k.absorbed = k.absorbed[:0]
-	// The share absorbed from peers warms during the level barrier.
-	k.prewarm(k.fringe[len(local):])
 	return nil
 }
 
@@ -625,7 +577,6 @@ func (k *kernel) step() (bool, error) {
 		"level":  strconv.Itoa(int(k.level)),
 		"fringe": strconv.FormatInt(stat.Fringe, 10),
 	})
-	k.warm()
 	slices.Sort(k.fringe)
 	if err := k.expand(); err != nil {
 		return false, err
@@ -650,7 +601,7 @@ func (k *kernel) step() (bool, error) {
 	k.total.add(k.main.tally)
 	more, err := k.settle()
 	// Flushed buckets keep their capacity; counters and next start afresh
-	// (next is never reused: a prefetch job may still be reading it).
+	// (next is never reused: it became the fringe).
 	k.main = lane{k: k, buckets: k.main.buckets, pairs: k.main.pairs}
 	return more, err
 }

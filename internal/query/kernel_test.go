@@ -17,10 +17,9 @@ import (
 
 // Differential test for the traversal kernel: one scale-free graph on a
 // 4-node in-proc fabric, every combination of exchange discipline,
-// ownership, worker count, prefetch and roster the front-ends can
-// express, each compared with the graph-theoretic answer and with the
-// simplest cell of its layout (level-synchronous, one worker, hashdb,
-// no prefetch). The work counters of the serial cells are additionally
+// ownership, worker count, store and roster the front-ends can express,
+// each compared with the graph-theoretic answer and with the simplest
+// cell of its layout (level-synchronous, one worker, hashdb). The work counters of the serial cells are additionally
 // pinned to the values the four pre-kernel loops produced.
 
 // kernelLayout is one way the edges sit on the back-ends plus the
@@ -126,6 +125,8 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 		for _, useGrdb := range []bool{false, true} {
 			store := "hashdb"
 			if useGrdb {
+				// Named for the prefetch these cells once ran with, so
+				// their recorded ids stay stable.
 				store = "grdb+prefetch"
 			}
 			dbs := loadLayout(t, edges, p, l, useGrdb)
@@ -142,7 +143,7 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 							got, err := ParallelBFS(context.Background(), f, dbs, BFSConfig{
 								Source: pr[0], Dest: pr[1],
 								Routing:   Routing{Ownership: l.ownership, OwnerOf: l.ownerOf, ReplicasOf: l.replicasOf, ActiveNodes: l.active},
-								Pipelined: pipelined, Threshold: 8, Workers: workers, Prefetch: useGrdb,
+								Pipelined: pipelined, Threshold: 8, Workers: workers,
 							})
 							if err != nil {
 								t.Fatalf("BFS %d->%d: %v", pr[0], pr[1], err)
@@ -196,7 +197,7 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 				var work kernelWork
 				for k := 1; k <= 4; k++ {
 					got, err := ParallelKHop(context.Background(), f, dbs, KHopConfig{
-						Source: 0, K: k, Prefetch: useGrdb,
+						Source: 0, K: k,
 						Routing: Routing{Ownership: l.ownership, OwnerOf: l.ownerOf, ReplicasOf: l.replicasOf, ActiveNodes: l.active},
 					})
 					if err != nil {

@@ -23,10 +23,6 @@ type KHopConfig struct {
 	// K is the number of BFS levels to expand.
 	K int
 	Routing
-	// Prefetch warms the storage cache for each level's fringe before
-	// expansion, as in BFSConfig, pipelined with the exchange when the
-	// backend implements graphdb.AsyncPrefetcher.
-	Prefetch bool
 }
 
 // KHopResult reports the neighbourhood profile.
@@ -62,7 +58,7 @@ func ParallelKHop(ctx context.Context, f cluster.Fabric, dbs []graphdb.Graph, cf
 		return KHopResult{}, fmt.Errorf("query: k-hop needs K >= 1, got %d", cfg.K)
 	}
 	tr := traversal{name: "khop", BFSConfig: BFSConfig{
-		Source: cfg.Source, Routing: cfg.Routing, Prefetch: cfg.Prefetch, Workers: 1,
+		Source: cfg.Source, Routing: cfg.Routing, Workers: 1,
 	}}
 	perNode := make([][]int64, f.Nodes())
 	tot, err := runTraversal(ctx, f, dbs, &tr, func(k *kernel) error {
@@ -138,9 +134,6 @@ func (khopAnalysis) Run(ctx context.Context, x Executor, params map[string]strin
 	cfg := KHopConfig{Source: src, K: k}
 	if params["broadcast"] == "true" {
 		cfg.Ownership = BroadcastFringe
-	}
-	if params["prefetch"] == "true" {
-		cfg.Prefetch = true
 	}
 	return x.KHopCtx(ctx, cfg)
 }
