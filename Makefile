@@ -86,6 +86,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME) ./internal/ingest
 	$(GO) test -run xxx -fuzz FuzzFringeChunkDecode -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run xxx -fuzz FuzzFringeChunkRoundTrip -fuzztime $(FUZZTIME) ./internal/query
+	$(GO) test -run xxx -fuzz FuzzVisitedMarkIfNew -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run xxx -fuzz FuzzCanonicalParams -fuzztime $(FUZZTIME) ./internal/query/qcache
 	$(GO) test -run xxx -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/storage/compress
 	$(GO) test -run xxx -fuzz FuzzDecodeArbitrary -fuzztime $(FUZZTIME) ./internal/storage/compress

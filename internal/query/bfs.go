@@ -95,7 +95,7 @@ type BFSConfig struct {
 	// Workers is the number of goroutines each back-end node uses to
 	// expand a level's fringe concurrently: workers pull vertices from a
 	// shared queue, retrieve adjacency in parallel, and mark discoveries
-	// in a sharded visited set. 0 means GOMAXPROCS; 1 restores the
+	// in one lock-free visited set. 0 means GOMAXPROCS; 1 restores the
 	// paper's serial per-node expansion. Values above 1 are ignored for
 	// ReturnPath queries and batch-scan backends (StreamDB), which fall
 	// back to serial expansion.

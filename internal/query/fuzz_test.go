@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"mssg/internal/graph"
@@ -85,6 +86,72 @@ func FuzzFringeChunkRoundTrip(f *testing.F) {
 		for i := range pairs {
 			if gotP[i] != pairs[i] {
 				t.Fatalf("pair round trip [%d] = %v, want %v", i, gotP[i], pairs[i])
+			}
+		}
+	})
+}
+
+// FuzzVisitedMarkIfNew checks MemVisited against a plain-map reference.
+// The input is a sequence of 7-byte (op, id, level) records: op's low
+// three bits pick mark (0-4), level (5-6) or Reset (7), its next two bits
+// pick the id class (one of the first four pages, any id below 2^32, a
+// sign-extended int32 so negative ids occur, or ids around 2^32 and
+// graph.MaxVertexID), then four id bytes and a signed 16-bit level.
+func FuzzVisitedMarkIfNew(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0xff, 0xff, 0, 0, 1, 0, 0, 0, 0, 1, 0, 2, 0, 5, 0xff, 0xff, 0, 0, 0, 0})
+	f.Add([]byte{0x18, 0x80, 0, 0, 0, 3, 0, 0x10, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 7, 0, 0, 0, 0, 0, 0, 0x1d, 0x80, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v := NewMemVisited()
+		ref := make(map[graph.VertexID]int32)
+		for ; len(data) >= 7; data = data[7:] {
+			op, r := data[0], binary.LittleEndian.Uint32(data[1:5])
+			level := int32(int16(binary.LittleEndian.Uint16(data[5:7])))
+			var id graph.VertexID
+			switch op >> 3 & 3 {
+			case 0:
+				id = graph.VertexID(r & (4*visitedPageSize - 1))
+			case 1:
+				id = graph.VertexID(r)
+			case 2:
+				id = graph.VertexID(int32(r))
+			case 3:
+				id = 1<<32 - 128 + graph.VertexID(r&0xff)
+				if r&0x100 != 0 {
+					id = graph.MaxVertexID - graph.VertexID(r&0xff)
+				}
+			}
+			want, seen := ref[id]
+			switch op & 7 {
+			case 5, 6:
+				if !seen {
+					want = -1
+				}
+				if got, err := v.Level(id); err != nil || got != want {
+					t.Fatalf("Level(%d) = %d, %v; want %d", id, got, err, want)
+				}
+			case 7:
+				v.Reset()
+				clear(ref)
+			default:
+				isNew, err := v.MarkIfNew(id, level)
+				if (err != nil) != (level < 0) {
+					t.Fatalf("MarkIfNew(%d, %d) error = %v", id, level, err)
+				}
+				if err == nil && isNew == seen {
+					t.Fatalf("MarkIfNew(%d, %d) = %v with the id marked %v", id, level, isNew, seen)
+				}
+				if isNew {
+					ref[id] = level
+				}
+			}
+			if v.Count() != int64(len(ref)) {
+				t.Fatalf("Count = %d, want %d", v.Count(), len(ref))
+			}
+		}
+		for id, want := range ref {
+			if got, err := v.Level(id); err != nil || got != want {
+				t.Fatalf("final Level(%d) = %d, %v; want %d", id, got, err, want)
 			}
 		}
 	})

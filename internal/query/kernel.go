@@ -167,19 +167,17 @@ func (k *kernel) close() {
 }
 
 // newVisited builds the per-node visited structure and the release that
-// returns it when the query finishes. With parallel expansion in effect
-// it must tolerate concurrent markers: the default becomes the
-// striped-lock ShardedVisited, and caller-provided structures (e.g.
-// ExtVisited) are wrapped in a mutex unless they are a ShardedVisited.
-// The default structures come from (and go back to) the per-query
-// scratch pools; caller-provided ones are Closed instead.
+// returns it when the query finishes. The default is a pooled MemVisited,
+// safe for concurrent markers as it is; a caller-provided structure (e.g.
+// ExtVisited) is wrapped in a mutex under parallel expansion and Closed
+// on release.
 func newVisited(node cluster.NodeID, mk func(cluster.NodeID) (Visited, error), workers int) (Visited, func(), error) {
 	if mk == nil {
-		v := memVisitedPool.Get().(Visited)
-		if workers > 1 {
-			v = shardedVisitedPool.Get().(Visited)
-		}
-		return v, func() { releaseVisited(v) }, nil
+		v := memVisitedPool.Get().(*MemVisited)
+		return v, func() {
+			v.Reset()
+			memVisitedPool.Put(v)
+		}, nil
 	}
 	v, err := mk(node)
 	if err != nil {
@@ -449,6 +447,9 @@ func (k *kernel) poll() error {
 
 // absorb handles one fringe frame; only the node goroutine calls it.
 func (k *kernel) absorb(p []byte) error {
+	if len(p) == 0 {
+		return fmt.Errorf("query: empty fringe frame")
+	}
 	switch p[0] {
 	case fkDone:
 		k.doneSeen++

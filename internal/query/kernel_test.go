@@ -293,3 +293,15 @@ func checkBFSAgainstDist(t *testing.T, got BFSResult, dist map[graph.VertexID]in
 		t.Fatalf("dest %d: coverage %v dropped %d on a fully replicated layout", dest, got.Coverage, got.FringeDropped)
 	}
 }
+
+// TestAbsorbRejectsMalformedFrames: a fringe frame comes off the wire,
+// and the TCP fabric delivers zero-length payloads, so an empty or
+// unknown frame must be an error for the query, not a panic of the node
+// goroutine.
+func TestAbsorbRejectsMalformedFrames(t *testing.T) {
+	for _, p := range [][]byte{nil, {}, {0xff}} {
+		if err := (&kernel{}).absorb(p); err == nil {
+			t.Errorf("absorb(%x) accepted", p)
+		}
+	}
+}

@@ -15,7 +15,7 @@ type queryMetrics struct {
 	fringe     *obs.Histogram // query.bfs.fringe_size (per node per level)
 	expand     *obs.Histogram // query.bfs.level_expand_ns
 	exchange   *obs.Histogram // query.bfs.level_exchange_ns
-	contention *obs.Counter   // query.visited.contention (striped-lock waits)
+	contention *obs.Counter   // query.visited.contention (markers that lost a CAS on one vertex)
 
 	// Failover accounting (replicated deployments).
 	foRetries        *obs.Counter // query.failover.retries

@@ -108,70 +108,86 @@ func TestParallelReturnPathFallsBackToSerial(t *testing.T) {
 	}
 }
 
-// TestShardedVisited runs the shared Visited contract checks, then
-// hammers MarkIfNew from 8 goroutines: each vertex must be won exactly
-// once, and Count must equal the number of distinct vertices.
-func TestShardedVisited(t *testing.T) {
-	testVisited(t, NewShardedVisited())
-
-	s := NewShardedVisited()
+// TestMemVisitedConcurrentMarks hammers MarkIfNew from 8 goroutines
+// over ids spread across several pages and the overflow range, each
+// goroutine starting at a different id so page installs race too: each
+// vertex must be won exactly once, and Count must equal the number of
+// distinct vertices.
+func TestMemVisitedConcurrentMarks(t *testing.T) {
 	const (
 		goroutines = 8
 		vertices   = 5000
 	)
+	id := func(i int) graph.VertexID {
+		switch i % 8 {
+		case 3:
+			return 1<<32 + graph.VertexID(i)
+		case 7:
+			return -graph.VertexID(i)
+		}
+		return graph.VertexID(i) * 97 // 0..485k: eight pages
+	}
+	s := NewMemVisited()
 	wins := make([]int64, vertices) // slot per vertex, counted after join
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
 			local := make([]int64, vertices)
-			for v := 0; v < vertices; v++ {
-				isNew, err := s.MarkIfNew(graph.VertexID(v), 3)
+			for j := 0; j < vertices; j++ {
+				i := (j + g*vertices/goroutines) % vertices
+				isNew, err := s.MarkIfNew(id(i), 3)
 				if err != nil {
 					t.Errorf("MarkIfNew: %v", err)
 					return
 				}
 				if isNew {
-					local[v]++
+					local[i]++
 				}
 			}
 			mu.Lock()
-			for v, n := range local {
-				wins[v] += n
+			for i, n := range local {
+				wins[i] += n
 			}
 			mu.Unlock()
-		}()
+		}(g)
 	}
 	wg.Wait()
-	for v, n := range wins {
+	for i, n := range wins {
 		if n != 1 {
-			t.Fatalf("vertex %d marked new %d times, want exactly 1", v, n)
+			t.Fatalf("vertex %d marked new %d times, want exactly 1", id(i), n)
 		}
 	}
 	if s.Count() != vertices {
 		t.Fatalf("Count() = %d, want %d", s.Count(), vertices)
 	}
-	if l, _ := s.Level(graph.VertexID(7)); l != 3 {
-		t.Fatalf("Level(7) = %d, want 3", l)
+	for _, i := range []int{7, 11, 4999} {
+		if l, _ := s.Level(id(i)); l != 3 {
+			t.Fatalf("Level(%d) = %d, want 3", id(i), l)
+		}
 	}
 }
 
-// TestEnsureConcurrentVisited: already-safe structures pass through
-// unwrapped; plain ones get the mutex wrapper.
+// TestEnsureConcurrentVisited: MemVisited passes through unwrapped;
+// other structures get the mutex wrapper.
 func TestEnsureConcurrentVisited(t *testing.T) {
-	s := NewShardedVisited()
-	if got := ensureConcurrentVisited(s); got != Visited(s) {
-		t.Fatalf("ShardedVisited was wrapped; want pass-through")
-	}
 	m := NewMemVisited()
-	w := ensureConcurrentVisited(m)
-	if w == Visited(m) {
-		t.Fatalf("MemVisited passed through unwrapped")
+	if got := ensureConcurrentVisited(m); got != Visited(m) {
+		t.Fatalf("MemVisited was wrapped; want pass-through")
 	}
-	// The wrapper must serialize: concurrent marks on a plain map would
-	// trip the race detector without it.
+	e, err := NewExtVisited(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	w := ensureConcurrentVisited(e)
+	if w == Visited(e) {
+		t.Fatalf("ExtVisited passed through unwrapped")
+	}
+	// The wrapper must serialize: concurrent read-modify-writes of one
+	// cached block would trip the race detector without it.
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

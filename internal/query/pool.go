@@ -7,7 +7,7 @@ import (
 )
 
 // Per-query scratch pooling. A resident engine runs queries back to
-// back; re-allocating the visited maps and adjacency buffers for every
+// back; re-allocating the visited pages and adjacency buffers for every
 // one of them turns the allocator into the serving bottleneck. The pools
 // below recycle the default (in-memory) structures across queries.
 // Caller-provided NewVisited structures are not pooled — the engine
@@ -28,21 +28,4 @@ func putAdjList(a *graph.AdjList) { adjPool.Put(a) }
 
 var memVisitedPool = sync.Pool{
 	New: func() any { return NewMemVisited() },
-}
-
-var shardedVisitedPool = sync.Pool{
-	New: func() any { return NewShardedVisited() },
-}
-
-// releaseVisited resets v and returns it to its pool. Only the two
-// built-in in-memory structures are recycled.
-func releaseVisited(v Visited) {
-	switch t := v.(type) {
-	case *MemVisited:
-		t.Reset()
-		memVisitedPool.Put(t)
-	case *ShardedVisited:
-		t.Reset()
-		shardedVisitedPool.Put(t)
-	}
 }

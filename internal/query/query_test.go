@@ -243,6 +243,58 @@ func TestBFSDBCountMismatch(t *testing.T) {
 func TestMemVisited(t *testing.T) {
 	v := NewMemVisited()
 	testVisited(t, v)
+	testVisitedIDRange(t, v)
+	if _, err := v.MarkIfNew(9, -1); err == nil {
+		t.Fatal("negative level accepted")
+	}
+
+	// Reset keeps the installed pages; no mark of the first use may
+	// survive on them, nor in the overflow map.
+	v.Reset()
+	if v.Count() != 0 {
+		t.Fatalf("Count after Reset = %d", v.Count())
+	}
+	for _, id := range visitedRangeIDs {
+		if l, err := v.Level(id); err != nil || l != -1 {
+			t.Fatalf("Level(%d) after Reset = %d, %v; want -1", id, l, err)
+		}
+	}
+	testVisited(t, v)
+	testVisitedIDRange(t, v)
+}
+
+// visitedRangeIDs straddle a page boundary of MemVisited's level array
+// (65,535 and 65,536) and its overflow range: ids at and above 2^32,
+// graph.MaxVertexID, and negative ids as decoded off the wire.
+var visitedRangeIDs = []graph.VertexID{65535, 65536, 1<<32 - 1, 1 << 32, graph.MaxVertexID, -1, -1 << 63}
+
+// testVisitedIDRange marks visitedRangeIDs on v and checks each id's
+// level and the count.
+func testVisitedIDRange(t *testing.T, v Visited) {
+	t.Helper()
+	held := v.Count()
+	for i, id := range visitedRangeIDs {
+		if l, err := v.Level(id); err != nil || l != -1 {
+			t.Fatalf("Level(%d) before marking = %d, %v", id, l, err)
+		}
+		if isNew, err := v.MarkIfNew(id, int32(i)); err != nil || !isNew {
+			t.Fatalf("MarkIfNew(%d) = %v, %v", id, isNew, err)
+		}
+		if isNew, err := v.MarkIfNew(id, 99); err != nil || isNew {
+			t.Fatalf("second MarkIfNew(%d) = %v, %v", id, isNew, err)
+		}
+	}
+	for i, id := range visitedRangeIDs {
+		if l, err := v.Level(id); err != nil || l != int32(i) {
+			t.Fatalf("Level(%d) = %d, %v; want %d", id, l, err, i)
+		}
+	}
+	if l, err := v.Level(65534); err != nil || l != -1 {
+		t.Fatalf("Level(65534), a neighbour of a marked id = %d, %v", l, err)
+	}
+	if want := held + int64(len(visitedRangeIDs)); v.Count() != want {
+		t.Fatalf("Count = %d, want %d", v.Count(), want)
+	}
 }
 
 func TestExtVisited(t *testing.T) {

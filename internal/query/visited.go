@@ -31,42 +31,125 @@ type Visited interface {
 	Close() error
 }
 
-// MemVisited is the in-memory visited structure.
+// MemVisited is the in-memory visited structure: the paper's level[]
+// array, paged. Each id below 2^32 has one uint32 slot holding level+1
+// (0 = unvisited) in a 64 Ki-id page allocated on first touch, under a
+// fixed directory of page pointers; ids at or above 2^32, including
+// negative ids decoded off the wire, live in a mutex-guarded overflow
+// map. It costs 4 B per id in the pages a node touches plus the 512 KiB
+// directory, and no hash per examined edge.
+//
+// MarkIfNew and Level are safe for concurrent use: a slot is read with
+// an atomic load and claimed with one CAS, and a page is installed with
+// one CAS, so parallel expansion workers need no lock.
 type MemVisited struct {
-	levels map[graph.VertexID]int32
+	dir   [visitedPages]atomic.Pointer[visitedPage]
+	count atomic.Int64
+
+	mu    sync.Mutex
+	pages []*visitedPage // every installed page, cleared by Reset
+	over  map[graph.VertexID]int32
 }
+
+const (
+	visitedPageBits = 16
+	visitedPageSize = 1 << visitedPageBits
+	visitedPages    = 1 << (32 - visitedPageBits)
+)
+
+type visitedPage [visitedPageSize]atomic.Uint32
 
 // NewMemVisited returns an empty in-memory visited set.
 func NewMemVisited() *MemVisited {
-	return &MemVisited{levels: make(map[graph.VertexID]int32)}
+	return &MemVisited{over: make(map[graph.VertexID]int32)}
 }
 
-// MarkIfNew implements Visited.
+// slot returns v's level slot, installing its page when install is set;
+// nil for an id on no installed page.
+func (m *MemVisited) slot(v uint32, install bool) *atomic.Uint32 {
+	d := &m.dir[v>>visitedPageBits]
+	p := d.Load()
+	if p == nil {
+		if !install {
+			return nil
+		}
+		p = new(visitedPage)
+		if d.CompareAndSwap(nil, p) {
+			m.mu.Lock()
+			m.pages = append(m.pages, p)
+			m.mu.Unlock()
+		} else {
+			p = d.Load()
+		}
+	}
+	return &p[v&(visitedPageSize-1)]
+}
+
+// MarkIfNew implements Visited; safe for concurrent use. A marker that
+// loses the CAS to another worker on the same vertex counts one
+// query.visited.contention.
 func (m *MemVisited) MarkIfNew(v graph.VertexID, level int32) (bool, error) {
-	if _, seen := m.levels[v]; seen {
+	if level < 0 {
+		return false, fmt.Errorf("query: negative visited level %d", level)
+	}
+	if uint64(v) >= 1<<32 {
+		return m.markOverflow(v, level), nil
+	}
+	s := m.slot(uint32(v), true)
+	if s.Load() != 0 {
 		return false, nil
 	}
-	m.levels[v] = level
+	if !s.CompareAndSwap(0, uint32(level)+1) {
+		qm().contention.Inc()
+		return false, nil
+	}
+	m.count.Add(1)
 	return true, nil
 }
 
-// Level implements Visited.
+func (m *MemVisited) markOverflow(v graph.VertexID, level int32) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, seen := m.over[v]; seen {
+		return false
+	}
+	m.over[v] = level
+	m.count.Add(1)
+	return true
+}
+
+// Level implements Visited; safe for concurrent use.
 func (m *MemVisited) Level(v graph.VertexID) (int32, error) {
-	if l, seen := m.levels[v]; seen {
-		return l, nil
+	if uint64(v) >= 1<<32 {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if l, seen := m.over[v]; seen {
+			return l, nil
+		}
+		return -1, nil
+	}
+	if s := m.slot(uint32(v), false); s != nil {
+		return int32(s.Load() - 1), nil
 	}
 	return -1, nil
 }
 
 // Count implements Visited.
-func (m *MemVisited) Count() int64 { return int64(len(m.levels)) }
+func (m *MemVisited) Count() int64 { return m.count.Load() }
 
 // Close implements Visited.
 func (m *MemVisited) Close() error { return nil }
 
-// Reset empties the set for reuse by a later query (keeps the map's
-// allocated buckets).
-func (m *MemVisited) Reset() { clear(m.levels) }
+// Reset empties the set for reuse by a later query. It zeroes the pages
+// it has installed and keeps them. Not safe to call concurrently with
+// markers: the owning query must have finished.
+func (m *MemVisited) Reset() {
+	for _, p := range m.pages {
+		*p = visitedPage{}
+	}
+	clear(m.over)
+	m.count.Store(0)
+}
 
 // ExtVisited is the external-memory visited structure: one byte per
 // vertex (level+1; 0 = unvisited) in a block file behind a small cache.
@@ -151,83 +234,8 @@ func (e *ExtVisited) Close() error {
 	return e.store.Close()
 }
 
-// visitedShards is the stripe count of ShardedVisited. 64 stripes keep
-// contention negligible for any realistic worker count while staying
-// small enough that per-query allocation stays cheap.
-const visitedShards = 64
-
-// ShardedVisited is the striped-lock in-memory visited structure used
-// by parallel fringe expansion: vertex v lives in stripe v % 64, so
-// workers marking different regions of the ID space rarely contend.
-type ShardedVisited struct {
-	shards [visitedShards]struct {
-		mu     sync.Mutex
-		levels map[graph.VertexID]int32
-	}
-	count atomic.Int64
-}
-
-// NewShardedVisited returns an empty concurrency-safe visited set.
-func NewShardedVisited() *ShardedVisited {
-	s := &ShardedVisited{}
-	for i := range s.shards {
-		s.shards[i].levels = make(map[graph.VertexID]int32)
-	}
-	return s
-}
-
-// MarkIfNew implements Visited; safe for concurrent use. A failed
-// TryLock counts one contended stripe acquisition — the cheap signal
-// behind query.visited.contention (a TryLock is a single CAS; the
-// blocking Lock that follows is what the workers would have paid anyway).
-func (s *ShardedVisited) MarkIfNew(v graph.VertexID, level int32) (bool, error) {
-	sh := &s.shards[uint64(v)%visitedShards]
-	if !sh.mu.TryLock() {
-		qm().contention.Inc()
-		sh.mu.Lock()
-	}
-	if _, seen := sh.levels[v]; seen {
-		sh.mu.Unlock()
-		return false, nil
-	}
-	sh.levels[v] = level
-	sh.mu.Unlock()
-	s.count.Add(1)
-	return true, nil
-}
-
-// Level implements Visited; safe for concurrent use.
-func (s *ShardedVisited) Level(v graph.VertexID) (int32, error) {
-	sh := &s.shards[uint64(v)%visitedShards]
-	sh.mu.Lock()
-	l, seen := sh.levels[v]
-	sh.mu.Unlock()
-	if !seen {
-		return -1, nil
-	}
-	return l, nil
-}
-
-// Count implements Visited.
-func (s *ShardedVisited) Count() int64 { return s.count.Load() }
-
-// Close implements Visited.
-func (s *ShardedVisited) Close() error { return nil }
-
-// Reset empties the set for reuse by a later query. Not safe to call
-// concurrently with markers — the owning query must have finished.
-func (s *ShardedVisited) Reset() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		clear(sh.levels)
-		sh.mu.Unlock()
-	}
-	s.count.Store(0)
-}
-
-// lockedVisited adapts a non-concurrent Visited (MemVisited, ExtVisited,
-// or a caller-provided structure) for parallel expansion with one mutex.
+// lockedVisited adapts a non-concurrent caller-provided Visited (such as
+// ExtVisited) for parallel expansion with one mutex.
 // Coarse, but correct: ExtVisited's cache read-modify-write must not
 // interleave.
 type lockedVisited struct {
@@ -260,10 +268,10 @@ func (l *lockedVisited) Close() error {
 }
 
 // ensureConcurrentVisited makes v safe for parallel expansion
-// (BFSConfig.Workers > 1): the striped ShardedVisited passes through, any
-// other structure is wrapped in a single mutex.
+// (BFSConfig.Workers > 1): MemVisited passes through, any other
+// structure is wrapped in a single mutex.
 func ensureConcurrentVisited(v Visited) Visited {
-	if _, ok := v.(*ShardedVisited); ok {
+	if _, ok := v.(*MemVisited); ok {
 		return v
 	}
 	return &lockedVisited{inner: v}
