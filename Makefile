@@ -67,8 +67,9 @@ tenants:
 scrub:
 	$(GO) run ./cmd/mssg-bench -check $(DIR)
 
-# Short fuzz pass over the wire and storage codecs and grDB's chain
-# format (regression corpus + FUZZTIME of exploration per target):
+# Short fuzz pass over the wire and storage codecs, grDB's chain format
+# and the block cache against its CLOCK model (regression corpus +
+# FUZZTIME of exploration per target):
 # make fuzz FUZZTIME=5s
 FUZZTIME ?= 10s
 fuzz:
@@ -91,6 +92,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/storage/compress
 	$(GO) test -run xxx -fuzz FuzzDecodeArbitrary -fuzztime $(FUZZTIME) ./internal/storage/compress
 	$(GO) test -run xxx -fuzz FuzzStoreDecode -fuzztime $(FUZZTIME) ./internal/storage/compress
+	$(GO) test -run xxx -fuzz FuzzCacheOracle -fuzztime $(FUZZTIME) ./internal/storage/cache
 
 # The benchmark/ module (BENCHMARK.json's harness) is its own Go module,
 # so `./...` never reaches it — yet it compiles against query.ParallelBFS,

@@ -6,7 +6,9 @@
 // Blocks are implicitly zero until first written: reading a block past the
 // current end of its file (or from a file that does not exist yet) yields
 // zeroes without error, matching the "fresh storage" semantics grDB's
-// word encoding relies on.
+// word encoding relies on. Each file's written extent is tracked in
+// memory, so a block at or past it is zeroed without a read: no ReadAt,
+// no counted block read and no simulated latency.
 //
 // # Durability
 //
@@ -97,6 +99,9 @@ func decodeSumEntry(b []byte) sumEntry {
 type perFile struct {
 	data vfs.File
 	sum  vfs.File
+	// extent is the data file's size: its size at open, raised before
+	// every write to cover it.
+	extent atomic.Int64
 	// entries mirrors the sidecar in memory; len grows on demand.
 	entries []sumEntry
 }
@@ -252,6 +257,12 @@ func (s *Store) file(fi int64) (*perFile, error) {
 		return nil, fmt.Errorf("blockio: %w", err)
 	}
 	pf := &perFile{data: data}
+	size, err := data.Size()
+	if err != nil {
+		data.Close()
+		return nil, fmt.Errorf("blockio: %w", err)
+	}
+	pf.extent.Store(size)
 	if s.checksums {
 		sum, err := s.fsys.OpenFile(path+".sum", os.O_RDWR|os.O_CREATE, 0o644)
 		if err != nil {
@@ -360,6 +371,19 @@ func (s *Store) read(idx int64, buf []byte, verify bool) error {
 	if err != nil {
 		return err
 	}
+	if off >= f.extent.Load() {
+		clear(buf) // never written: no I/O to do
+	} else if err := s.readAt(f, buf, off); err != nil {
+		return err
+	}
+	if verify {
+		return s.verify(f, idx, idx%s.blocksPerFile, buf)
+	}
+	return nil
+}
+
+// readAt reads and accounts one block (or prefix) at off.
+func (s *Store) readAt(f *perFile, buf []byte, off int64) error {
 	s.reads.Add(1)
 	s.readBytes.Add(int64(len(buf)))
 	s.charge(s.readLatency + time.Duration(len(buf))*s.transferLatency)
@@ -368,18 +392,10 @@ func (s *Store) read(idx int64, buf []byte, verify bool) error {
 		// Short or past-EOF read: the tail is implicitly zero. Only
 		// EOF-class conditions qualify — a device error that happens to
 		// return a short count must surface, not read as a zero block.
-		for i := n; i < len(buf); i++ {
-			buf[i] = 0
-		}
+		clear(buf[n:])
 		err = nil
 	}
-	if err != nil {
-		return err
-	}
-	if verify {
-		return s.verify(f, idx, idx%s.blocksPerFile, buf)
-	}
-	return nil
+	return err
 }
 
 // verify checks buf against block idx's recorded checksum.
@@ -440,6 +456,12 @@ func (s *Store) write(idx int64, buf []byte) error {
 	s.writes.Add(1)
 	s.writeBytes.Add(int64(len(buf)))
 	s.charge(s.writeLatency + time.Duration(len(buf))*s.transferLatency)
+	// Raised first, so a failed or torn write is read back from the file.
+	for end := off + int64(len(buf)); ; {
+		if cur := f.extent.Load(); cur >= end || f.extent.CompareAndSwap(cur, end) {
+			break
+		}
+	}
 	if _, err := f.data.WriteAt(buf, off); err != nil {
 		return err
 	}

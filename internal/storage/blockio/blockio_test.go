@@ -171,8 +171,12 @@ func TestSimulatedLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.SimulateLatency(2*time.Millisecond, 0)
 	buf := make([]byte, 256)
+	// A never-written block is served without I/O, so write the one read.
+	if err := s.WriteBlock(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	s.SimulateLatency(2*time.Millisecond, 0)
 	start := time.Now()
 	for i := 0; i < 5; i++ {
 		if err := s.ReadBlock(0, buf); err != nil {
@@ -182,4 +186,59 @@ func TestSimulatedLatency(t *testing.T) {
 	if el := time.Since(start); el < 10*time.Millisecond {
 		t.Fatalf("5 reads with 2ms simulated latency took %s", el)
 	}
+}
+
+// TestUnwrittenBlocksReadWithoutIO: a block at or past its file's
+// written extent reads as zeroes with no ReadAt, no counted read and no
+// simulated latency; a hole below the extent, and every block of a
+// reopened store's existing files, is still read from the file.
+func TestUnwrittenBlocksReadWithoutIO(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(Config{Dir: dir, Prefix: "x", BlockSize: 64, MaxFileBytes: 64 * 8, Checksums: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SimulateLatency(50*time.Millisecond, 0)
+	buf := make([]byte, 64)
+	buf[0] = 0xEE
+	read := func(idx int64, wantReads int64) {
+		t.Helper()
+		if err := s.ReadBlock(idx, buf); err != nil {
+			t.Fatalf("ReadBlock(%d): %v", idx, err)
+		}
+		if got := s.Counters().BlockReads; got != wantReads {
+			t.Fatalf("after ReadBlock(%d): %d block reads, want %d", idx, got, wantReads)
+		}
+	}
+	start := time.Now()
+	read(3, 0)
+	read(12, 0) // a second file, never created before
+	if el := time.Since(start); el >= 25*time.Millisecond {
+		t.Fatalf("two unwritten reads took %s under a 50ms read latency", el)
+	}
+	if !allZero(buf) {
+		t.Fatal("unwritten block not zero")
+	}
+	s.SimulateLatency(0, 0)
+	buf[0] = 7
+	if err := s.WriteBlock(2, buf); err != nil {
+		t.Fatal(err)
+	}
+	read(3, 0) // past the extent the write raised
+	read(1, 1) // a hole below it is read from the file
+	read(2, 2)
+	if buf[0] != 7 {
+		t.Fatalf("block 2 reads %d, want 7", buf[0])
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = OpenStore(Config{Dir: dir, Prefix: "x", BlockSize: 64, MaxFileBytes: 64 * 8, Checksums: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	read(2, 1) // the reopened file's size is its extent
+	read(5, 1)
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -165,5 +166,44 @@ func TestDiscardDropsDirtyBlocks(t *testing.T) {
 	defer h.Release()
 	if h.Data()[0] != 0 {
 		t.Fatalf("discarded change visible: %x", h.Data()[0])
+	}
+}
+
+// failStore is a memStore whose writes fail while fail is set.
+type failStore struct {
+	*memStore
+	fail bool
+}
+
+func (f *failStore) WriteBlock(idx int64, buf []byte) error {
+	if f.fail {
+		return errors.New("injected write failure")
+	}
+	return f.memStore.WriteBlock(idx, buf)
+}
+
+// TestFailedWriteBackLeavesNothingPinned: a miss whose eviction cannot
+// write its dirty victim back reports the error, leaves the block it
+// loaded unpinned, and keeps the victim dirty for a later write-back.
+func TestFailedWriteBackLeavesNothingPinned(t *testing.T) {
+	st := &failStore{memStore: newMemStore(64)}
+	c := New(64) // one block
+	if err := c.AttachSpace(0, st); err != nil {
+		t.Fatal(err)
+	}
+	dirtyBlock(t, c, 0, 1, 0xAA)
+	st.fail = true
+	if _, err := c.Get(0, 2); err == nil {
+		t.Fatal("failed eviction write-back not reported")
+	}
+	if p := c.Stats().Pinned; p != 0 {
+		t.Fatalf("Pinned = %d after a failed Get", p)
+	}
+	st.fail = false
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if b := st.blocks[1]; b == nil || b[0] != 0xAA {
+		t.Fatalf("dirty victim lost: %v", b)
 	}
 }
