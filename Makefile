@@ -1,17 +1,21 @@
 # Developer/CI entry points. `make ci` is the gate every change must
-# pass: vet, build, the full test suite under the race detector (the
+# pass: gofmt, vet, build, the full test suite under the race detector (the
 # concurrency-conformance suite only means something with -race), the
 # chaos and crash conformance suites, a short fuzz pass over the wire
 # and storage codecs, and the headline benchmarks.
 
 GO ?= go
 
-.PHONY: ci vet build test race fuzz chaos crash failover migrate tenants scrub bench-check bench-compare bench bench-workers bench-io bench-migration loc clean
+.PHONY: ci fmt vet build test race fuzz chaos crash failover migrate tenants scrub bench-check bench-compare bench bench-workers bench-io bench-migration loc clean
 
 # ci keeps the fuzz leg to a 5s-per-target smoke; run `make fuzz` for
 # the full exploration pass.
 ci: FUZZTIME = 5s
-ci: vet build bench-check race chaos crash failover migrate tenants fuzz bench-workers
+ci: fmt vet build bench-check race chaos crash failover migrate tenants fuzz bench-workers
+
+# Fails, listing the files, when any Go file is not gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

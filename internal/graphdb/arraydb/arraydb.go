@@ -21,14 +21,14 @@ import (
 func init() {
 	graphdb.Register("array", func(opts graphdb.Options) (graphdb.Graph, error) {
 		d := New()
-		d.stats.EnableLatency(opts.Metrics, "array")
+		d.EnableLatency(opts.Metrics, "array")
 		return d, nil
 	})
 }
 
 // DB is an in-memory CSR graph store.
 type DB struct {
-	meta *graphdb.MetaMap
+	graphdb.Base
 
 	// staging holds edges until the next compaction.
 	staging map[graph.VertexID][]graph.VertexID
@@ -39,41 +39,25 @@ type DB struct {
 	xadj  []int64
 	adj   []graph.VertexID
 	maxID graph.VertexID
-
-	closed bool
-	stats  graphdb.StatCounters
 }
 
 // New returns an empty Array instance.
 func New() *DB {
 	return &DB{
-		meta:    graphdb.NewMetaMap(),
 		staging: make(map[graph.VertexID][]graph.VertexID),
 		maxID:   -1,
 	}
 }
 
 // StoreEdges implements graphdb.Graph.
-func (d *DB) StoreEdges(edges []graph.Edge) error {
-	if d.closed {
-		return graphdb.ErrClosed
-	}
-	start := d.stats.OpStart()
-	defer d.stats.ObserveStore(start)
+func (d *DB) StoreEdges(edges []graph.Edge) error { return d.StoreBatch(edges, d.stage) }
+
+func (d *DB) stage(edges []graph.Edge) error {
 	for _, e := range edges {
-		if err := graph.ValidateEdge(e); err != nil {
-			return err
-		}
 		d.staging[e.Src] = append(d.staging[e.Src], e.Dst)
-		if e.Src > d.maxID {
-			d.maxID = e.Src
-		}
-		if e.Dst > d.maxID {
-			d.maxID = e.Dst
-		}
-		d.stats.AddEdgesStored(1)
+		d.maxID = max(d.maxID, e.Src, e.Dst)
 	}
-	d.dirty = d.dirty || len(edges) > 0
+	d.dirty = true
 	return nil
 }
 
@@ -81,7 +65,7 @@ func (d *DB) StoreEdges(edges []graph.Edge) error {
 // with any previously compacted adjacency (full rebuild: CSR is a static
 // format).
 func (d *DB) Flush() error {
-	if d.closed {
+	if d.Closed() {
 		return graphdb.ErrClosed
 	}
 	if !d.dirty {
@@ -125,56 +109,30 @@ func (d *DB) Flush() error {
 	return nil
 }
 
-// Metadata implements graphdb.Graph.
-func (d *DB) Metadata(v graph.VertexID) (int32, error) {
-	if d.closed {
-		return 0, graphdb.ErrClosed
-	}
-	return d.meta.Get(v), nil
-}
-
-// SetMetadata implements graphdb.Graph.
-func (d *DB) SetMetadata(v graph.VertexID, md int32) error {
-	if d.closed {
-		return graphdb.ErrClosed
-	}
-	d.meta.Set(v, md)
-	return nil
-}
-
 // AdjacencyUsingMetadata implements graphdb.Graph.
 func (d *DB) AdjacencyUsingMetadata(v graph.VertexID, out *graph.AdjList, md int32, op graphdb.MetaOp) error {
-	if d.closed {
-		return graphdb.ErrClosed
-	}
-	if d.dirty {
+	if d.dirty { // a closed DB is never dirty: Close flushed it
 		return fmt.Errorf("arraydb: adjacency requested with staged edges; call Flush first")
 	}
-	start := d.stats.OpStart()
-	defer d.stats.ObserveAdjacency(start)
-	d.stats.AddAdjacencyCall()
-	if int64(v) < 0 || int64(v) >= int64(len(d.xadj))-1 {
-		return nil
+	start, err := d.BeginAdjacency(1)
+	if err != nil {
+		return err
 	}
-	neighbors := d.adj[d.xadj[v]:d.xadj[v+1]]
-	d.stats.AddNeighborsReturned(graphdb.FilterAppend(d.meta, neighbors, out, md, op))
+	var n int64
+	if int64(v) >= 0 && int64(v) < int64(len(d.xadj))-1 {
+		n = d.Filter(d.adj[d.xadj[v]:d.xadj[v+1]], out, md, op)
+	}
+	d.EndAdjacency(start, n)
 	return nil
 }
 
 // Close implements graphdb.Graph.
 func (d *DB) Close() error {
-	if d.closed {
+	if d.Closed() {
 		return nil
 	}
 	if err := d.Flush(); err != nil {
 		return err
 	}
-	d.closed = true
-	return nil
+	return d.Base.Close()
 }
-
-// Stats implements graphdb.Graph.
-func (d *DB) Stats() graphdb.Stats { return d.stats.Snapshot() }
-
-// ResetMetadata clears all metadata between queries.
-func (d *DB) ResetMetadata() { d.meta.Reset() }

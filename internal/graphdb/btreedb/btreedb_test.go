@@ -9,6 +9,9 @@ import (
 	"mssg/internal/graphdb"
 )
 
+// chunkCap is the shared chunk layout's capacity (graphdb/chunk.go).
+const chunkCap = graphdb.ChunkCap
+
 func openTest(t *testing.T) *DB {
 	t.Helper()
 	d, err := Open(graphdb.Options{Dir: t.TempDir()})

@@ -5,6 +5,7 @@ package graphdb_test
 // all six implementations, with an in-memory reference model as oracle.
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -303,12 +304,17 @@ func TestOperationsAfterCloseFail(t *testing.T) {
 			if err := g.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
 			}
-			if err := g.StoreEdges([]graph.Edge{{Src: 1, Dst: 2}}); err == nil {
-				t.Fatal("StoreEdges after Close succeeded, want error")
-			}
-			out := graph.NewAdjList(1)
-			if err := graphdb.Adjacency(g, 1, out); err == nil {
-				t.Fatal("Adjacency after Close succeeded, want error")
+			_, mdErr := g.Metadata(1)
+			for op, err := range map[string]error{
+				"StoreEdges":  g.StoreEdges([]graph.Edge{{Src: 1, Dst: 2}}),
+				"Adjacency":   graphdb.Adjacency(g, 1, graph.NewAdjList(1)),
+				"Metadata":    mdErr,
+				"SetMetadata": g.SetMetadata(1, 7),
+				"Flush":       g.Flush(),
+			} {
+				if !errors.Is(err, graphdb.ErrClosed) {
+					t.Errorf("%s after Close = %v, want ErrClosed", op, err)
+				}
 			}
 			// Close is idempotent.
 			if err := g.Close(); err != nil {
@@ -325,6 +331,47 @@ func TestInvalidVertexRejected(t *testing.T) {
 			g := openBackend(t, name)
 			if err := g.StoreEdges([]graph.Edge{bad}); err == nil {
 				t.Fatal("StoreEdges of negative vertex succeeded, want error")
+			}
+		})
+	}
+}
+
+// TestInvalidBatchStoresNothing: a batch is validated whole before any
+// of it reaches storage, so one invalid edge leaves the back-end as it
+// was, and the next valid batch stores only itself.
+func TestInvalidBatchStoresNothing(t *testing.T) {
+	batch := []graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: -1, Dst: 2}}
+	for _, name := range allBackends() {
+		t.Run(name, func(t *testing.T) {
+			g := openBackend(t, name)
+			if err := g.StoreEdges(batch); err == nil {
+				t.Fatal("StoreEdges of a batch with a negative vertex succeeded, want error")
+			}
+			if err := g.Flush(); err != nil {
+				t.Fatalf("Flush: %v", err)
+			}
+			if n := g.Stats().EdgesStored; n != 0 {
+				t.Fatalf("EdgesStored = %d after the rejected batch, want 0", n)
+			}
+			out := graph.NewAdjList(4)
+			if err := graphdb.Adjacency(g, 0, out); err != nil {
+				t.Fatalf("Adjacency(0): %v", err)
+			}
+			if out.Len() != 0 {
+				t.Fatalf("Adjacency(0) = %v after the rejected batch, want none", out.IDs())
+			}
+			if err := g.StoreEdges([]graph.Edge{{Src: 1, Dst: 2}}); err != nil {
+				t.Fatalf("StoreEdges: %v", err)
+			}
+			if err := g.Flush(); err != nil {
+				t.Fatalf("Flush: %v", err)
+			}
+			out.Reset()
+			if err := graphdb.Adjacency(g, 0, out); err != nil || out.Len() != 0 {
+				t.Fatalf("Adjacency(0) = %v, %v after a valid batch, want none", out.IDs(), err)
+			}
+			if n := g.Stats().EdgesStored; n != 1 {
+				t.Fatalf("EdgesStored = %d after one valid edge, want 1", n)
 			}
 		})
 	}

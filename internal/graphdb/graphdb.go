@@ -22,7 +22,12 @@
 //     maintenance extension (ResetMetadata, Defragment). Mutators
 //     always require external serialization: no mutator may overlap
 //     another mutator or any reader, even on a backend whose readers
-//     are concurrency-safe.
+//     are concurrency-safe. The one exception is hashdb, whose
+//     StoreEdges may overlap its readers (live migration, see its DB).
+//
+// The shared half of the contract — closed state, metadata, Stats and
+// the checks before storage — is written once, in Base, which every
+// backend embeds.
 //
 // MSSG itself obeys this split naturally: ingestion (mutators) and the
 // query service's parallel fringe expansion (readers, see

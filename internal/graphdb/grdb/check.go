@@ -32,7 +32,7 @@ type CheckReport struct {
 //
 // It returns a report, or the first violation found.
 func (d *DB) Check() (CheckReport, error) {
-	if d.closed {
+	if d.Closed() {
 		return CheckReport{}, fmt.Errorf("grdb: check on closed database")
 	}
 	report := CheckReport{LevelSubBlocks: make([]int64, len(d.levels))}

@@ -19,7 +19,7 @@ import (
 // DefragmentVertex compacts v's chain. It returns true if the chain was
 // rewritten, false if it was already optimal.
 func (d *DB) DefragmentVertex(v graph.VertexID) (bool, error) {
-	if d.closed {
+	if d.Closed() {
 		return false, graphdb.ErrClosed
 	}
 	var adj []graph.VertexID
@@ -129,7 +129,7 @@ func (d *DB) rewriteChain(v graph.VertexID, adj []graph.VertexID) error {
 // number of rewritten chains. Intended to run between ingestion and query
 // phases, standing in for the paper's background idle-time compaction.
 func (d *DB) Defragment() (int64, error) {
-	if d.closed {
+	if d.Closed() {
 		return 0, graphdb.ErrClosed
 	}
 	var rewritten int64

@@ -109,7 +109,7 @@ func (d *DB) abort(cause error) error {
 	_ = d.wal.Close() // load reopens the log; its staged records are dropped either way
 	if err := d.load(); err != nil {
 		d.closeStores()
-		d.closed = true
+		d.Base.Close()
 		return errors.Join(cause, fmt.Errorf("grdb: reloading the last commit: %w", err))
 	}
 	return cause
@@ -118,7 +118,7 @@ func (d *DB) abort(cause error) error {
 // SetCheckpoint implements graphdb.Checkpointer: blob is committed
 // atomically with the next Flush.
 func (d *DB) SetCheckpoint(blob []byte) error {
-	if d.closed {
+	if d.Closed() {
 		return graphdb.ErrClosed
 	}
 	d.ckptStaged = append([]byte(nil), blob...)
@@ -127,7 +127,7 @@ func (d *DB) SetCheckpoint(blob []byte) error {
 
 // GetCheckpoint implements graphdb.Checkpointer.
 func (d *DB) GetCheckpoint() ([]byte, error) {
-	if d.closed {
+	if d.Closed() {
 		return nil, graphdb.ErrClosed
 	}
 	return d.ckptCommitted, nil

@@ -177,49 +177,6 @@ func TestWALWithoutStateRecordIsDiscarded(t *testing.T) {
 	}
 }
 
-func TestManifestV1Compat(t *testing.T) {
-	dir := t.TempDir()
-	// Write a database the old way first to get real block files.
-	d, err := Open(graphdb.Options{Dir: dir, MaxFileBytes: 4096, Levels: tinyLevels()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	storeN(t, d, 2, 6)
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Replace the manifest with the legacy v1 encoding of its state.
-	st, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := decodeManifest(st, len(tinyLevels()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := make([]byte, 8*(len(tinyLevels())+2))
-	le.PutUint64(v1[0:8], uint64(dec.edges))
-	le.PutUint64(v1[8:16], uint64(dec.maxVertex))
-	for i, nf := range dec.nextFree {
-		le.PutUint64(v1[8*(i+2):], uint64(nf))
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	d2, err := Open(graphdb.Options{Dir: dir, MaxFileBytes: 4096, Levels: tinyLevels()})
-	if err != nil {
-		t.Fatalf("open with v1 manifest: %v", err)
-	}
-	defer d2.Close()
-	if got := neighbors(t, d2, 2); len(got) != 6 {
-		t.Fatalf("v1 manifest: %d neighbours, want 6", len(got))
-	}
-	if st := d2.Stats(); st.EdgesStored != 6 {
-		t.Fatalf("EdgesStored = %d, want 6", st.EdgesStored)
-	}
-}
-
 func TestCheckpointBlobNonDurable(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(graphdb.Options{Dir: dir, MaxFileBytes: 4096, Levels: tinyLevels()})

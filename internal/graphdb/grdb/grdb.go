@@ -67,13 +67,6 @@ const (
 	wordEmpty    = uint64(0)
 	maxStoreable = (uint64(1) << tagShift) - 2 // ids are stored as id+1
 
-	// DefaultCacheBytes is the block-cache budget when Options.CacheBytes
-	// is zero.
-	DefaultCacheBytes = 16 << 20
-
-	// DefaultMaxFileBytes is the paper's M = 256 MB per storage file.
-	DefaultMaxFileBytes = 256 << 20
-
 	manifestName = "grdb.manifest"
 
 	// compressedMarkerName marks a database whose level stores hold
@@ -123,10 +116,10 @@ type level struct {
 
 // DB is a grDB instance.
 type DB struct {
+	graphdb.Base
 	dir    string
 	levels []level
 	cache  *cache.BlockCache
-	meta   *graphdb.MetaMap
 
 	// nextFree[ℓ] is the next unallocated sub-block at level ℓ (ℓ >= 1;
 	// level 0 is addressed by anchor and nextFree[0] stays 0). Persisted
@@ -190,9 +183,6 @@ type DB struct {
 
 	// Recovery/scrub observability (nil-safe no-ops without a registry).
 	mRecoveryRuns, mRecoveryRecords, mRecoveryBlocks, mScrubCorrupt *obs.Counter
-
-	closed bool
-	stats  graphdb.StatCounters
 }
 
 // subPos addresses sub-block sub of level level.
@@ -261,39 +251,25 @@ func validateLevels(levels []graphdb.LevelSpec, maxFileBytes int64) error {
 
 // Open creates or reopens a grDB instance under opts.Dir.
 func Open(opts graphdb.Options) (*DB, error) {
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("grdb: need a directory")
+	opts, err := opts.OutOfCore("grdb")
+	if err != nil {
+		return nil, err
 	}
 	specs := opts.Levels
 	if specs == nil {
 		specs = DefaultLevels()
 	}
 	maxFile := opts.MaxFileBytes
-	if maxFile <= 0 {
-		maxFile = DefaultMaxFileBytes
-	}
 	if err := validateLevels(specs, maxFile); err != nil {
 		return nil, err
-	}
-	cacheBytes := opts.CacheBytes
-	switch {
-	case cacheBytes == 0:
-		cacheBytes = DefaultCacheBytes
-	case cacheBytes < 0:
-		cacheBytes = 0
-	}
-	fsys := vfs.Or(opts.FS)
-	if err := fsys.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("grdb: %w", err)
 	}
 
 	d := &DB{
 		dir:        opts.Dir,
-		cache:      cache.New(cacheBytes),
-		meta:       graphdb.NewMetaMap(),
+		cache:      cache.New(opts.CacheBytes),
 		tailHint:   make(map[graph.VertexID]subPos),
 		copyUp:     opts.CopyUpOnOverflow,
-		fsys:       fsys,
+		fsys:       opts.FS,
 		durable:    opts.Durability >= graphdb.DurabilityFull,
 		compressed: opts.Compress,
 	}
@@ -302,7 +278,7 @@ func Open(opts graphdb.Options) (*DB, error) {
 		return nil, err
 	}
 	d.pf.init(d, opts.Metrics)
-	d.stats.EnableLatency(opts.Metrics, "grdb")
+	d.EnableLatency(opts.Metrics, "grdb")
 	if reg := opts.Metrics; reg != nil {
 		d.mRecoveryRuns = reg.Counter("grdb.recovery.runs")
 		d.mRecoveryRecords = reg.Counter("grdb.recovery.wal_records")

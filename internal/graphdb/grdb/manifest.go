@@ -13,11 +13,10 @@ import (
 )
 
 // The manifest is grDB's root pointer: the state a reopen starts from.
-// Version 2 frames the payload with a magic, a generation stamp, and a
+// It frames the payload with a magic, a generation stamp, and a
 // CRC32-C, and carries the application checkpoint blob (see
 // graphdb.Checkpointer) next to the allocation state so both commit in
-// the same atomic rename. The legacy v1 format — raw 8*(levels+2) bytes
-// of {edges, maxVertex, nextFree...} — is still accepted on read.
+// the same atomic rename.
 //
 // Layout (little-endian):
 //
@@ -57,38 +56,23 @@ func encodeManifest(st manifestState) []byte {
 	return le.AppendUint32(b, crc32.Checksum(b, castagnoli))
 }
 
-// decodeManifest parses either manifest version. levels is the opener's
-// ladder length; a mismatch is an error (the ladder is part of the
-// on-disk format). The function must not panic on any input — it is
-// fuzzed directly.
+// decodeManifest parses a manifest. levels is the opener's ladder
+// length; a mismatch is an error (the ladder is part of the on-disk
+// format). The function must not panic on any input — it is fuzzed
+// directly.
 func decodeManifest(b []byte, levels int) (manifestState, error) {
-	var st manifestState
-	if len(b) >= 8 && string(b[0:8]) == manifestMagic {
-		if len(b) < 16+4 {
-			return st, fmt.Errorf("%w: %d bytes is shorter than the v2 header", ErrCorruptManifest, len(b))
-		}
-		body, crcb := b[:len(b)-4], b[len(b)-4:]
-		if got := crc32.Checksum(body, castagnoli); got != le.Uint32(crcb) {
-			return st, fmt.Errorf("%w: checksum 0x%08x, want 0x%08x", ErrCorruptManifest, got, le.Uint32(crcb))
-		}
-		st, err := decodeState(body[16:], levels)
-		if err != nil {
-			return st, fmt.Errorf("%w: %v", ErrCorruptManifest, err)
-		}
-		st.gen = le.Uint64(b[8:16])
-		return st, nil
+	if len(b) < 16+4 || string(b[0:8]) != manifestMagic {
+		return manifestState{}, fmt.Errorf("%w: %d bytes without the %s header", ErrCorruptManifest, len(b), manifestMagic)
 	}
-	// Legacy v1: raw {edges, maxVertex, nextFree[levels]}.
-	if len(b) != 8*(levels+2) {
-		return st, fmt.Errorf("%w: %d bytes matches neither v2 nor the %d-byte v1 format (level ladder mismatch?)",
-			ErrCorruptManifest, len(b), 8*(levels+2))
+	body, crcb := b[:len(b)-4], b[len(b)-4:]
+	if got := crc32.Checksum(body, castagnoli); got != le.Uint32(crcb) {
+		return manifestState{}, fmt.Errorf("%w: checksum 0x%08x, want 0x%08x", ErrCorruptManifest, got, le.Uint32(crcb))
 	}
-	st.edges = int64(le.Uint64(b[0:8]))
-	st.maxVertex = graph.VertexID(le.Uint64(b[8:16]))
-	st.nextFree = make([]int64, levels)
-	for i := range st.nextFree {
-		st.nextFree[i] = int64(le.Uint64(b[8*(i+2):]))
+	st, err := decodeState(body[16:], levels)
+	if err != nil {
+		return st, fmt.Errorf("%w: %v", ErrCorruptManifest, err)
 	}
+	st.gen = le.Uint64(b[8:16])
 	return st, nil
 }
 

@@ -14,19 +14,10 @@ import (
 // "links on overflow" rather than copying up; see Defragment for the
 // copy-up compaction it defers to idle time). A durable StoreEdges that
 // fails leaves the DB at its last commit (see abort).
-func (d *DB) StoreEdges(edges []graph.Edge) error {
-	if d.closed {
-		return graphdb.ErrClosed
-	}
-	if len(edges) == 0 {
-		return nil
-	}
-	start := d.stats.OpStart()
-	defer d.stats.ObserveStore(start)
+func (d *DB) StoreEdges(edges []graph.Edge) error { return d.StoreBatch(edges, d.store) }
+
+func (d *DB) store(edges []graph.Edge) error {
 	for _, e := range edges {
-		if err := graph.ValidateEdge(e); err != nil {
-			return err
-		}
 		if uint64(e.Src) > maxStoreable || uint64(e.Dst) > maxStoreable {
 			return fmt.Errorf("grdb: vertex id beyond 61-bit storeable range: %v", e)
 		}
@@ -148,39 +139,19 @@ func (d *DB) appendNeighbors(v graph.VertexID, ids []graph.VertexID) error {
 	return nil
 }
 
-// Metadata implements graphdb.Graph.
-func (d *DB) Metadata(v graph.VertexID) (int32, error) {
-	if d.closed {
-		return 0, graphdb.ErrClosed
-	}
-	return d.meta.Get(v), nil
-}
-
-// SetMetadata implements graphdb.Graph.
-func (d *DB) SetMetadata(v graph.VertexID, md int32) error {
-	if d.closed {
-		return graphdb.ErrClosed
-	}
-	d.meta.Set(v, md)
-	return nil
-}
-
 // AdjacencyUsingMetadata implements graphdb.Graph.
 func (d *DB) AdjacencyUsingMetadata(v graph.VertexID, out *graph.AdjList, md int32, op graphdb.MetaOp) error {
-	if d.closed {
-		return graphdb.ErrClosed
+	start, err := d.BeginAdjacency(1)
+	if err != nil {
+		return err
 	}
 	if uint64(v) > maxStoreable {
 		return fmt.Errorf("grdb: vertex id %d beyond 61-bit storeable range", v)
 	}
-	start := d.stats.OpStart()
-	defer d.stats.ObserveAdjacency(start)
-	d.stats.AddAdjacencyCall()
 	ignore := op == graphdb.MetaIgnore
 	var (
-		l   link
-		n   int64
-		err error
+		l link
+		n int64
 	)
 	for p := anchor(v); p.level >= 0 && err == nil; p = l.next {
 		if err = d.link(p, &l); err != nil {
@@ -188,14 +159,14 @@ func (d *DB) AdjacencyUsingMetadata(v graph.VertexID, out *graph.AdjList, md int
 		}
 		for i := 0; i < l.n; i++ {
 			u := decodeNeighbor(getWord(l.sub, i))
-			if ignore || op.Matches(d.meta.Get(u), md) {
+			if ignore || d.Passes(u, md, op) {
 				out.Append(u)
 				n++
 			}
 		}
 		err = l.h.Release()
 	}
-	d.stats.AddNeighborsReturned(n)
+	d.EndAdjacency(start, n)
 	return err
 }
 
@@ -224,7 +195,7 @@ func (d *DB) chain(v graph.VertexID, adj *[]graph.VertexID) (hops int, degree in
 
 // Degree returns v's stored out-degree (chain walk).
 func (d *DB) Degree(v graph.VertexID) (int64, error) {
-	if d.closed {
+	if d.Closed() {
 		return 0, graphdb.ErrClosed
 	}
 	_, n, err := d.chain(v, nil)
@@ -235,7 +206,7 @@ func (d *DB) Degree(v graph.VertexID) (int64, error) {
 // adjacency fits at level 0; 0 for unknown vertices). Used by the
 // defragmentation ablation.
 func (d *DB) ChainLength(v graph.VertexID) (int, error) {
-	if d.closed {
+	if d.Closed() {
 		return 0, graphdb.ErrClosed
 	}
 	hops, _, err := d.chain(v, nil)
@@ -247,7 +218,7 @@ func (d *DB) ChainLength(v graph.VertexID) (int, error) {
 // blob staged before the call survives any crash; when it fails, the
 // DB holds what the last commit holds (see durable.go).
 func (d *DB) Flush() error {
-	if d.closed {
+	if d.Closed() {
 		return graphdb.ErrClosed
 	}
 	if d.durable {
@@ -268,7 +239,7 @@ func (d *DB) Flush() error {
 
 // Close implements graphdb.Graph.
 func (d *DB) Close() error {
-	if d.closed {
+	if d.Closed() {
 		return nil
 	}
 	// Cancel and join every in-flight prefetch before touching the
@@ -278,7 +249,7 @@ func (d *DB) Close() error {
 	if err := d.Flush(); err != nil {
 		return err
 	}
-	d.closed = true
+	d.Base.Close()
 	var first error
 	for _, l := range d.levels {
 		if err := l.store.Close(); err != nil && first == nil {
@@ -293,9 +264,10 @@ func (d *DB) Close() error {
 	return first
 }
 
-// Stats implements graphdb.Graph.
+// Stats implements graphdb.Graph, with EdgesStored from the manifest
+// state: a failed durable store rewinds it with the rest of the DB.
 func (d *DB) Stats() graphdb.Stats {
-	s := d.stats.Snapshot()
+	s := d.Base.Stats()
 	s.EdgesStored = d.edges.Load()
 	return s
 }
@@ -334,6 +306,3 @@ func (d *DB) CacheStats() (hits, misses int64) {
 	s := d.cache.Stats()
 	return s.Hits, s.Misses
 }
-
-// ResetMetadata clears all metadata between queries.
-func (d *DB) ResetMetadata() { d.meta.Reset() }

@@ -133,7 +133,7 @@ func (d *DB) PrefetchAsync(ctx context.Context, fringe []graph.VertexID) graphdb
 	p := &d.pf
 	j := &prefetchJob{e: p, done: make(chan struct{})}
 	j.ctx, j.cancel = context.WithCancel(ctx)
-	if d.closed {
+	if d.Closed() {
 		j.err = graphdb.ErrClosed
 		j.cancel()
 		close(j.done)

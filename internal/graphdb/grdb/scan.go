@@ -12,7 +12,7 @@ import (
 // stored and probes each chain's fill point, which costs one level-0
 // block read per candidate and no list materialization.
 func (d *DB) ForEachVertex(fn func(v graph.VertexID) error) error {
-	if d.closed {
+	if d.Closed() {
 		return graphdb.ErrClosed
 	}
 	var l link

@@ -38,7 +38,7 @@ const quarantineDirName = "quarantine"
 // queries or stores populate the cache.
 func (d *DB) Scrub() (ScrubReport, error) {
 	var rep ScrubReport
-	if d.closed {
+	if d.Closed() {
 		return rep, graphdb.ErrClosed
 	}
 	if !d.durable {

@@ -55,12 +55,12 @@ type Options struct {
 	Dir string
 
 	// CacheBytes is the block/page cache budget for out-of-core backends:
-	// 0 selects the backend default, a negative value disables caching
+	// 0 selects DefaultCacheBytes, a negative value disables caching
 	// (the paper's Figure 5.2 "without cache" configuration).
 	CacheBytes int64
 
-	// MaxFileBytes is grDB's per-file cap M (paper: 256 MB). 0 selects
-	// the default.
+	// MaxFileBytes is the per-file cap M of an out-of-core backend's
+	// block files (paper: 256 MB). 0 selects DefaultMaxFileBytes.
 	MaxFileBytes int64
 
 	// Levels overrides grDB's level ladder for ablation studies. Nil
@@ -117,6 +117,39 @@ type Options struct {
 	// default, since a time.Now() pair per adjacency retrieval is
 	// measurable on the in-memory backends.
 	Metrics *obs.Registry
+}
+
+const (
+	// DefaultCacheBytes is an out-of-core backend's cache budget when
+	// Options.CacheBytes is 0.
+	DefaultCacheBytes = 16 << 20
+	// DefaultMaxFileBytes is the paper's M = 256 MB per storage file,
+	// the cap when Options.MaxFileBytes is 0.
+	DefaultMaxFileBytes = 256 << 20
+)
+
+// OutOfCore returns o with the defaults grDB, btreedb and reldb share
+// resolved, after creating o.Dir: FS is never nil, MaxFileBytes is
+// positive, and CacheBytes is the budget for cache.New, 0 for no cache.
+// backend prefixes the errors.
+func (o Options) OutOfCore(backend string) (Options, error) {
+	if o.Dir == "" {
+		return o, fmt.Errorf("%s: need a directory", backend)
+	}
+	switch {
+	case o.CacheBytes == 0:
+		o.CacheBytes = DefaultCacheBytes
+	case o.CacheBytes < 0:
+		o.CacheBytes = 0
+	}
+	if o.MaxFileBytes <= 0 {
+		o.MaxFileBytes = DefaultMaxFileBytes
+	}
+	o.FS = vfs.Or(o.FS)
+	if err := o.FS.MkdirAll(o.Dir, 0o755); err != nil {
+		return o, fmt.Errorf("%s: %w", backend, err)
+	}
+	return o, nil
 }
 
 // LevelSpec describes one grDB storage level.

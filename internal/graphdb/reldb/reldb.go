@@ -26,14 +26,6 @@ func init() {
 
 const (
 	indexPageSize = 4 * 1024
-	// chunkCap is the neighbour capacity of one BLOB chunk: 1000 8-byte
-	// IDs = 8000 bytes, the paper's ~8 KB blocking (Fig 4.3).
-	chunkCap = 1000
-	// DefaultCacheBytes is the buffer-pool budget when Options.CacheBytes
-	// is zero.
-	DefaultCacheBytes = 16 << 20
-
-	defaultMaxFileBytes = 256 << 20
 
 	manifestName = "reldb.manifest"
 
@@ -43,6 +35,7 @@ const (
 
 // DB is the MySQL-substitute graph store.
 type DB struct {
+	graphdb.Base
 	dir       string
 	fsys      vfs.FS
 	heapStore *blockio.Store
@@ -51,12 +44,9 @@ type DB struct {
 	heap      *heap
 	index     *btree.Tree
 	log       *wal.Log
-	meta      *graphdb.MetaMap
 	// durable adds data-file fsyncs to every Flush so a completed Flush
 	// survives a crash, not just a process exit.
 	durable bool
-	closed  bool
-	stats   graphdb.StatCounters
 	// statements counts parsed statements (for reports); atomic because
 	// SELECTs are readers and may run concurrently.
 	statements atomic.Int64
@@ -64,35 +54,21 @@ type DB struct {
 
 // Open creates or reopens a DB under opts.Dir.
 func Open(opts graphdb.Options) (*DB, error) {
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("reldb: need a directory")
+	opts, err := opts.OutOfCore("reldb")
+	if err != nil {
+		return nil, err
 	}
-	cacheBytes := opts.CacheBytes
-	switch {
-	case cacheBytes == 0:
-		cacheBytes = DefaultCacheBytes
-	case cacheBytes < 0:
-		cacheBytes = 0
-	}
-	maxFile := opts.MaxFileBytes
-	if maxFile <= 0 {
-		maxFile = defaultMaxFileBytes
-	}
-	fsys := vfs.Or(opts.FS)
 	durable := opts.Durability >= graphdb.DurabilityFull
-	if err := fsys.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("reldb: %w", err)
-	}
 	heapStore, err := blockio.OpenStore(blockio.Config{
 		Dir: opts.Dir, Prefix: "heap", BlockSize: heapPageSize,
-		MaxFileBytes: maxFile, Checksums: durable, FS: opts.FS,
+		MaxFileBytes: opts.MaxFileBytes, Checksums: durable, FS: opts.FS,
 	})
 	if err != nil {
 		return nil, err
 	}
 	idxStore, err := blockio.OpenStore(blockio.Config{
 		Dir: opts.Dir, Prefix: "idx", BlockSize: indexPageSize,
-		MaxFileBytes: maxFile, Checksums: durable, FS: opts.FS,
+		MaxFileBytes: opts.MaxFileBytes, Checksums: durable, FS: opts.FS,
 	})
 	if err != nil {
 		heapStore.Close()
@@ -100,7 +76,7 @@ func Open(opts graphdb.Options) (*DB, error) {
 	}
 	heapStore.SimulateLatency(opts.SimReadLatency, opts.SimWriteLatency)
 	idxStore.SimulateLatency(opts.SimReadLatency, opts.SimWriteLatency)
-	c := cache.New(cacheBytes)
+	c := cache.New(opts.CacheBytes)
 	c.EnableMetrics(opts.Metrics, "mysql")
 	if durable {
 		// Dirty pages must not reach their data files before the WAL
@@ -110,13 +86,13 @@ func Open(opts graphdb.Options) (*DB, error) {
 		// repair it after a power cut.
 		c.SetNoSteal(true)
 	}
-	man, err := loadManifest(fsys, filepath.Join(opts.Dir, manifestName))
+	man, err := loadManifest(opts.FS, filepath.Join(opts.Dir, manifestName))
 	if err != nil {
 		heapStore.Close()
 		idxStore.Close()
 		return nil, err
 	}
-	log, err := wal.Open(fsys, filepath.Join(opts.Dir, "wal.log"))
+	log, err := wal.Open(opts.FS, filepath.Join(opts.Dir, "wal.log"))
 	if err != nil {
 		heapStore.Close()
 		idxStore.Close()
@@ -149,17 +125,16 @@ func Open(opts graphdb.Options) (*DB, error) {
 	}
 	d := &DB{
 		dir:       opts.Dir,
-		fsys:      fsys,
+		fsys:      opts.FS,
 		heapStore: heapStore,
 		idxStore:  idxStore,
 		cache:     c,
 		heap:      hp,
 		index:     idx,
 		log:       log,
-		meta:      graphdb.NewMetaMap(),
 		durable:   durable,
 	}
-	d.stats.EnableLatency(opts.Metrics, "mysql")
+	d.EnableLatency(opts.Metrics, "mysql")
 	// Redo the row records the last crash left in the log (those not
 	// already covered by the recovered checkpoint), then complete the
 	// interrupted flush so the next crash starts from a clean slate.
@@ -235,29 +210,6 @@ func (d *DB) saveManifest() error {
 	return fsutil.WriteFileAtomic(d.fsys, filepath.Join(d.dir, manifestName), d.currentManifest().encode(), 0o644)
 }
 
-// head record: index key (v, 0) → {tailChunk uint32, tailCount uint32}.
-
-func (d *DB) readHead(v graph.VertexID) (tailChunk, tailCount uint32, err error) {
-	val, err := d.index.Get(btree.U64Key(uint64(v), 0))
-	if err == btree.ErrNotFound {
-		return 0, 0, nil
-	}
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(val) != 8 {
-		return 0, 0, fmt.Errorf("reldb: head of %d is %d bytes", v, len(val))
-	}
-	return binary.LittleEndian.Uint32(val[0:4]), binary.LittleEndian.Uint32(val[4:8]), nil
-}
-
-func (d *DB) writeHead(v graph.VertexID, tailChunk, tailCount uint32) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[0:4], tailChunk)
-	binary.LittleEndian.PutUint32(b[4:8], tailCount)
-	return d.index.Put(btree.U64Key(uint64(v), 0), b[:])
-}
-
 // execInsert runs one parsed REPLACE against storage: WAL first, then a
 // new heap row version, then the index repoint. Records are staged in the
 // log and group-committed by the next Flush — one fsync per flush window
@@ -274,129 +226,66 @@ func (d *DB) execInsert(st statement) error {
 	return d.index.Put(btree.U64Key(uint64(st.vertex), uint64(st.chunk)), ref.encode())
 }
 
-// StoreEdges implements graphdb.Graph. Each touched vertex's tail chunk is
-// rewritten through the full statement → WAL → heap → index path.
-func (d *DB) StoreEdges(edges []graph.Edge) error {
-	if d.closed {
-		return graphdb.ErrClosed
+// getChunk and putChunk are the key-value store graphdb.StoreChunked
+// appends through. Chunk seq of v is the index entry (v, seq): the head
+// record itself at seq 0, a reference to the heap row holding the BLOB
+// above it.
+func (d *DB) getChunk(v graph.VertexID, seq uint32) ([]byte, error) {
+	val, err := d.index.Get(btree.U64Key(uint64(v), uint64(seq)))
+	if err == btree.ErrNotFound {
+		return nil, nil
 	}
-	if len(edges) == 0 {
-		return nil
+	if err != nil || seq == 0 {
+		return val, err
 	}
-	start := d.stats.OpStart()
-	defer d.stats.ObserveStore(start)
-	for _, e := range edges {
-		if err := graph.ValidateEdge(e); err != nil {
-			return err
-		}
+	ref, err := decodeRowRef(val)
+	if err != nil {
+		return nil, err
 	}
-	return graphdb.GroupBySource(edges, func(src graph.VertexID, dsts []graph.VertexID) error {
-		if err := d.appendNeighbors(src, dsts); err != nil {
-			return err
-		}
-		d.stats.AddEdgesStored(int64(len(dsts)))
-		return nil
-	})
+	r, err := d.heap.read(ref)
+	return r.blob, err
 }
 
-func (d *DB) appendNeighbors(src graph.VertexID, add []graph.VertexID) error {
-	tailChunk, tailCount, err := d.readHead(src)
+// putChunk writes a BLOB through the full statement → WAL → heap →
+// index path. A head record is logged too, so replay restores it; if
+// that record is lost, replay's self-heal rebuilds the head from the
+// highest row chunk it sees.
+func (d *DB) putChunk(v graph.VertexID, seq uint32, val []byte) error {
+	if seq == 0 {
+		if _, err := d.log.Append(encodeWALRecord(int64(v), 0, val)); err != nil {
+			return err
+		}
+		return d.index.Put(btree.U64Key(uint64(v), 0), val)
+	}
+	// Client renders the statement; server parses and executes it.
+	st, err := parseStatement(renderInsert(int64(v), seq, val))
 	if err != nil {
 		return err
 	}
-	var blob []byte
-	switch {
-	case tailChunk == 0:
-		tailChunk, tailCount = 1, 0
-	case tailCount >= chunkCap:
-		tailChunk, tailCount = tailChunk+1, 0
-	default:
-		// Read the current tail row back through the index.
-		refBytes, err := d.index.Get(btree.U64Key(uint64(src), uint64(tailChunk)))
-		if err != nil {
-			return fmt.Errorf("reldb: tail of %d: %w", src, err)
-		}
-		ref, err := decodeRowRef(refBytes)
-		if err != nil {
-			return err
-		}
-		r, err := d.heap.read(ref)
-		if err != nil {
-			return err
-		}
-		blob = r.blob
-	}
-
-	for len(add) > 0 {
-		space := chunkCap - int(tailCount)
-		take := len(add)
-		if take > space {
-			take = space
-		}
-		for _, u := range add[:take] {
-			var idb [8]byte
-			binary.LittleEndian.PutUint64(idb[:], uint64(u))
-			blob = append(blob, idb[:]...)
-		}
-		tailCount += uint32(take)
-
-		// Client renders the statement; server parses and executes it.
-		stmtText := renderInsert(int64(src), tailChunk, blob)
-		st, err := parseStatement(stmtText)
-		if err != nil {
-			return err
-		}
-		d.statements.Add(1)
-		if err := d.execInsert(st); err != nil {
-			return err
-		}
-
-		add = add[take:]
-		if len(add) > 0 {
-			tailChunk++
-			tailCount = 0
-			blob = blob[:0]
-		}
-	}
-	// Log the head update too (chunk 0 = head record), so replay restores
-	// it; if this record is lost, replay's self-heal rebuilds the head
-	// from the highest row chunk it sees.
-	var hb [8]byte
-	binary.LittleEndian.PutUint32(hb[0:4], tailChunk)
-	binary.LittleEndian.PutUint32(hb[4:8], tailCount)
-	if _, err := d.log.Append(encodeWALRecord(int64(src), 0, hb[:])); err != nil {
-		return err
-	}
-	return d.writeHead(src, tailChunk, tailCount)
+	d.statements.Add(1)
+	return d.execInsert(st)
 }
 
-// Metadata implements graphdb.Graph.
-func (d *DB) Metadata(v graph.VertexID) (int32, error) {
-	if d.closed {
-		return 0, graphdb.ErrClosed
-	}
-	return d.meta.Get(v), nil
+func (d *DB) readHead(v graph.VertexID) (tailChunk, tailCount uint32, err error) {
+	return graphdb.ReadChunkHead(v, d.getChunk)
 }
 
-// SetMetadata implements graphdb.Graph.
-func (d *DB) SetMetadata(v graph.VertexID, md int32) error {
-	if d.closed {
-		return graphdb.ErrClosed
-	}
-	d.meta.Set(v, md)
-	return nil
+// StoreEdges implements graphdb.Graph. Each touched vertex's tail chunk is
+// rewritten through putChunk.
+func (d *DB) StoreEdges(edges []graph.Edge) error {
+	return d.StoreBatch(edges, func(edges []graph.Edge) error {
+		return graphdb.StoreChunked(edges, d.getChunk, d.putChunk)
+	})
 }
 
 // AdjacencyUsingMetadata implements graphdb.Graph: a SELECT through the
 // statement layer, an index range scan, heap fetches, and a text result
 // set decoded client-side.
 func (d *DB) AdjacencyUsingMetadata(v graph.VertexID, out *graph.AdjList, md int32, op graphdb.MetaOp) error {
-	if d.closed {
-		return graphdb.ErrClosed
+	start, err := d.BeginAdjacency(1)
+	if err != nil {
+		return err
 	}
-	start := d.stats.OpStart()
-	defer d.stats.ObserveAdjacency(start)
-	d.stats.AddAdjacencyCall()
 
 	st, err := parseStatement(renderSelect(int64(v)))
 	if err != nil {
@@ -431,11 +320,9 @@ func (d *DB) AdjacencyUsingMetadata(v graph.VertexID, out *graph.AdjList, md int
 		if err != nil {
 			return err
 		}
-		for i := 0; i+8 <= len(blob); i += 8 {
-			scratch = append(scratch, graph.VertexID(binary.LittleEndian.Uint64(blob[i:i+8])))
-		}
+		scratch = graphdb.DecodeChunk(scratch, blob)
 	}
-	d.stats.AddNeighborsReturned(graphdb.FilterAppend(d.meta, scratch, out, md, op))
+	d.EndAdjacency(start, d.Filter(scratch, out, md, op))
 	return nil
 }
 
@@ -450,7 +337,7 @@ func (d *DB) AdjacencyUsingMetadata(v graph.VertexID, out *graph.AdjList, md int
 // tree whose write-back a power cut interrupted can descend through a
 // half-applied split into garbage; recovery restores the images instead.
 func (d *DB) Flush() error {
-	if d.closed {
+	if d.Closed() {
 		return graphdb.ErrClosed
 	}
 	commit := d.log.Sync
@@ -479,13 +366,13 @@ func (d *DB) Flush() error {
 
 // Close implements graphdb.Graph.
 func (d *DB) Close() error {
-	if d.closed {
+	if d.Closed() {
 		return nil
 	}
 	if err := d.Flush(); err != nil {
 		return err
 	}
-	d.closed = true
+	d.Base.Close()
 	return d.closeStores()
 }
 
@@ -500,9 +387,6 @@ func (d *DB) closeStores() error {
 	}
 	return err
 }
-
-// Stats implements graphdb.Graph.
-func (d *DB) Stats() graphdb.Stats { return d.stats.Snapshot() }
 
 // Statements returns the number of SQL statements parsed.
 func (d *DB) Statements() int64 { return d.statements.Load() }
@@ -519,6 +403,3 @@ func (d *DB) CacheStats() (hits, misses int64) {
 	s := d.cache.Stats()
 	return s.Hits, s.Misses
 }
-
-// ResetMetadata clears all metadata between queries.
-func (d *DB) ResetMetadata() { d.meta.Reset() }

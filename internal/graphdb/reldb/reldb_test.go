@@ -10,6 +10,9 @@ import (
 	"mssg/internal/graphdb"
 )
 
+// chunkCap is the shared chunk layout's capacity (graphdb/chunk.go).
+const chunkCap = graphdb.ChunkCap
+
 func TestStatementRoundTrip(t *testing.T) {
 	blob := []byte{1, 2, 3, 0xFF, 0}
 	text := renderInsert(42, 7, blob)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"mssg/internal/graph"
+	"mssg/internal/graphdb"
 	"mssg/internal/storage/btree"
 	"mssg/internal/storage/cache"
 	"mssg/internal/storage/wal"
@@ -120,7 +121,8 @@ func (d *DB) replayWAL(afterSeq uint64) (int, error) {
 			return n, err
 		}
 		if tailChunk < f.chunk || (tailChunk == f.chunk && tailCount != f.count) {
-			if err := d.writeHead(graph.VertexID(vertex), f.chunk, f.count); err != nil {
+			head := graphdb.AppendChunkHead(nil, f.chunk, f.count)
+			if err := d.index.Put(btree.U64Key(uint64(vertex), 0), head); err != nil {
 				return n, err
 			}
 		}

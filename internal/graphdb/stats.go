@@ -7,11 +7,10 @@ import (
 	"mssg/internal/obs"
 )
 
-// StatCounters is the concurrency-safe accumulator every backend embeds
-// behind its Stats() method. Adjacency retrievals are readers under the
-// package concurrency contract yet still need to count work, so the
-// counters are atomics rather than fields guarded by the (nonexistent)
-// reader lock.
+// StatCounters is the concurrency-safe accumulator behind Base.Stats.
+// Adjacency retrievals are readers under the package concurrency
+// contract yet still need to count work, so the counters are atomics
+// rather than fields guarded by the (nonexistent) reader lock.
 type StatCounters struct {
 	edgesStored       atomic.Int64
 	adjacencyCalls    atomic.Int64
@@ -24,25 +23,11 @@ type StatCounters struct {
 	storeNs     atomic.Pointer[obs.Histogram]
 }
 
-// AddEdgesStored credits n edges accepted by StoreEdges.
-func (c *StatCounters) AddEdgesStored(n int64) { c.edgesStored.Add(n) }
-
-// EdgesStored returns the current stored-edge count.
-func (c *StatCounters) EdgesStored() int64 { return c.edgesStored.Load() }
-
-// AddAdjacencyCall counts one adjacency-list retrieval.
-func (c *StatCounters) AddAdjacencyCall() { c.adjacencyCalls.Add(1) }
-
-// AddAdjacencyCalls counts n retrievals answered in one batch pass.
-func (c *StatCounters) AddAdjacencyCalls(n int64) { c.adjacencyCalls.Add(n) }
-
-// AddNeighborsReturned credits n neighbours produced by retrievals.
-func (c *StatCounters) AddNeighborsReturned(n int64) { c.neighborsReturned.Add(n) }
-
 // EnableLatency turns on per-operation latency histograms, recorded as
-// graphdb.<backend>.adjacency_ns and graphdb.<backend>.store_ns in reg.
-// Backends call it from Open when Options.Metrics is set; it is a no-op
-// with a nil registry.
+// graphdb.<backend>.adjacency_ns (one per AdjacencyUsingMetadata call)
+// and graphdb.<backend>.store_ns (one per non-empty StoreEdges batch) in
+// reg. Backends call it from Open when Options.Metrics is set; it is a
+// no-op with a nil registry.
 func (c *StatCounters) EnableLatency(reg *obs.Registry, backend string) {
 	if reg == nil {
 		return

@@ -34,7 +34,7 @@ func init() {
 			return nil, err
 		}
 		d.SimulateLatency(opts.SimReadLatency, opts.SimWriteLatency)
-		d.stats.EnableLatency(opts.Metrics, "stream")
+		d.EnableLatency(opts.Metrics, "stream")
 		return d, nil
 	})
 }
@@ -48,14 +48,12 @@ const recordBytes = 16 // src int64 + dst int64, little-endian
 
 // DB is an append-only on-disk edge log.
 type DB struct {
-	path   string
-	f      *os.File
-	wmu    sync.Mutex // serializes flushes of w between concurrent scans
-	w      *bufio.Writer
-	edges  int64 // records in the log (including unflushed)
-	closed bool
-	stats  graphdb.StatCounters
-	meta   *graphdb.MetaMap
+	graphdb.Base
+	path  string
+	f     *os.File
+	wmu   sync.Mutex // serializes flushes of w between concurrent scans
+	w     *bufio.Writer
+	edges int64 // records in the log (including unflushed)
 
 	scanReads atomic.Int64 // physical read ops performed by scans
 
@@ -105,22 +103,15 @@ func Open(dir string) (*DB, error) {
 		f:     f,
 		w:     bufio.NewWriterSize(f, 1<<20),
 		edges: st.Size() / recordBytes,
-		meta:  graphdb.NewMetaMap(),
 	}, nil
 }
 
 // StoreEdges implements graphdb.Graph: a buffered sequential append.
-func (d *DB) StoreEdges(edges []graph.Edge) error {
-	if d.closed {
-		return graphdb.ErrClosed
-	}
-	start := d.stats.OpStart()
-	defer d.stats.ObserveStore(start)
+func (d *DB) StoreEdges(edges []graph.Edge) error { return d.StoreBatch(edges, d.appendLog) }
+
+func (d *DB) appendLog(edges []graph.Edge) error {
 	var rec [recordBytes]byte
 	for _, e := range edges {
-		if err := graph.ValidateEdge(e); err != nil {
-			return err
-		}
 		binary.LittleEndian.PutUint64(rec[0:8], uint64(e.Src))
 		binary.LittleEndian.PutUint64(rec[8:16], uint64(e.Dst))
 		if _, err := d.w.Write(rec[:]); err != nil {
@@ -134,34 +125,16 @@ func (d *DB) StoreEdges(edges []graph.Edge) error {
 			}
 		}
 		d.edges++
-		d.stats.AddEdgesStored(1)
 	}
 	return nil
 }
 
 // Flush implements graphdb.Graph.
 func (d *DB) Flush() error {
-	if d.closed {
+	if d.Closed() {
 		return graphdb.ErrClosed
 	}
 	return d.w.Flush()
-}
-
-// Metadata implements graphdb.Graph.
-func (d *DB) Metadata(v graph.VertexID) (int32, error) {
-	if d.closed {
-		return 0, graphdb.ErrClosed
-	}
-	return d.meta.Get(v), nil
-}
-
-// SetMetadata implements graphdb.Graph.
-func (d *DB) SetMetadata(v graph.VertexID, md int32) error {
-	if d.closed {
-		return graphdb.ErrClosed
-	}
-	d.meta.Set(v, md)
-	return nil
 }
 
 // scan streams the whole log, invoking visit for every edge record.
@@ -201,12 +174,10 @@ func (d *DB) scan(visit func(src, dst graph.VertexID)) error {
 // AdjacencyUsingMetadata implements graphdb.Graph with a full scan per
 // call. Use AdjacencyBatch for fringe expansion.
 func (d *DB) AdjacencyUsingMetadata(v graph.VertexID, out *graph.AdjList, md int32, op graphdb.MetaOp) error {
-	if d.closed {
-		return graphdb.ErrClosed
+	start, err := d.BeginAdjacency(1)
+	if err != nil {
+		return err
 	}
-	start := d.stats.OpStart()
-	defer d.stats.ObserveAdjacency(start)
-	d.stats.AddAdjacencyCall()
 	var scratch []graph.VertexID
 	if err := d.scan(func(src, dst graph.VertexID) {
 		if src == v {
@@ -215,19 +186,15 @@ func (d *DB) AdjacencyUsingMetadata(v graph.VertexID, out *graph.AdjList, md int
 	}); err != nil {
 		return err
 	}
-	d.stats.AddNeighborsReturned(graphdb.FilterAppend(d.meta, scratch, out, md, op))
+	d.EndAdjacency(start, d.Filter(scratch, out, md, op))
 	return nil
 }
 
 // AdjacencyBatch implements graphdb.BatchGraph: one pass over the log
 // answers the entire fringe.
 func (d *DB) AdjacencyBatch(fringe []graph.VertexID, out *graph.AdjList, md int32, op graphdb.MetaOp) error {
-	if d.closed {
-		return graphdb.ErrClosed
-	}
-	d.stats.AddAdjacencyCalls(int64(len(fringe)))
-	if len(fringe) == 0 {
-		return nil
+	if _, err := d.BeginAdjacency(int64(len(fringe))); err != nil || len(fringe) == 0 {
+		return err
 	}
 	want := make(map[graph.VertexID]struct{}, len(fringe))
 	for _, v := range fringe {
@@ -241,33 +208,27 @@ func (d *DB) AdjacencyBatch(fringe []graph.VertexID, out *graph.AdjList, md int3
 	}); err != nil {
 		return err
 	}
-	d.stats.AddNeighborsReturned(graphdb.FilterAppend(d.meta, scratch, out, md, op))
+	d.EndAdjacency(0, d.Filter(scratch, out, md, op)) // a batch is no one retrieval's latency
 	return nil
 }
 
 // Close implements graphdb.Graph.
 func (d *DB) Close() error {
-	if d.closed {
+	if d.Closed() {
 		return nil
 	}
 	if err := d.w.Flush(); err != nil {
 		return err
 	}
-	d.closed = true
+	d.Base.Close()
 	return d.f.Close()
 }
-
-// Stats implements graphdb.Graph.
-func (d *DB) Stats() graphdb.Stats { return d.stats.Snapshot() }
 
 // IOCounters implements graphdb.IOCounters: scans count as reads; every
 // stored edge is one buffered write.
 func (d *DB) IOCounters() (blockReads, blockWrites int64) {
-	return d.scanReads.Load(), d.stats.EdgesStored()
+	return d.scanReads.Load(), d.Stats().EdgesStored
 }
-
-// ResetMetadata clears all metadata between queries.
-func (d *DB) ResetMetadata() { d.meta.Reset() }
 
 // Edges returns the number of records in the log.
 func (d *DB) Edges() int64 { return d.edges }

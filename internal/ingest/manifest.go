@@ -25,14 +25,8 @@ type Manifest struct {
 	Pending *Placement
 }
 
-// Placement-manifest magics. placementMagic ("MSSGPL01", PR 7) has no
-// epoch, no member subset, and no pending slot; manifestMagic
-// ("MSSGPL02") adds all three. The encoder always emits v2; the decoder
-// still reads v1, so pre-elasticity directories keep opening.
-const (
-	placementMagic = "MSSGPL01"
-	manifestMagic  = "MSSGPL02"
-)
+// manifestMagic opens every placement manifest.
+const manifestMagic = "MSSGPL02"
 
 // PlacementFile is the placement manifest's name under the database
 // working directory.
@@ -52,7 +46,7 @@ func appendPlacementBody(b []byte, p Placement) []byte {
 	return b
 }
 
-// EncodeManifest serializes m in the v2 layout with a CRC32 trailer:
+// EncodeManifest serializes m with a CRC32 trailer:
 // each placement body is the length-prefixed policy name, backends,
 // replication, seed, epoch and member list, and a flag byte says
 // whether a pending placement follows the committed one.
@@ -100,7 +94,7 @@ func validatePlacement(p Placement) error {
 	return nil
 }
 
-// decodePlacementBody consumes one v2 placement body from b, returning
+// decodePlacementBody consumes one placement body from b, returning
 // the remainder.
 func decodePlacementBody(b []byte) (Placement, []byte, error) {
 	var p Placement
@@ -136,48 +130,22 @@ func decodePlacementBody(b []byte) (Placement, []byte, error) {
 	return p, b, nil
 }
 
-// DecodeManifest parses and validates an encoded manifest in either
-// layout. It must never panic on arbitrary input (fuzzed) and rejects
-// anything a valid encoder of either layout cannot produce.
+// DecodeManifest parses and validates an encoded manifest. It must
+// never panic on arbitrary input (fuzzed) and rejects anything a valid
+// encoder cannot produce.
 func DecodeManifest(b []byte) (Manifest, error) {
 	var m Manifest
-	if len(b) < len(placementMagic)+2 {
+	if len(b) < len(manifestMagic)+2 {
 		return m, fmt.Errorf("ingest: placement of %d bytes is shorter than its header", len(b))
 	}
-	magic := string(b[:len(placementMagic)])
-	if magic != placementMagic && magic != manifestMagic {
+	if magic := string(b[:len(manifestMagic)]); magic != manifestMagic {
 		return m, fmt.Errorf("ingest: bad placement magic %q", magic)
-	}
-	if len(b) < 4 {
-		return m, fmt.Errorf("ingest: placement too short for its checksum")
 	}
 	body, sum := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
 	if crc32.ChecksumIEEE(body) != sum {
 		return m, fmt.Errorf("ingest: placement checksum mismatch")
 	}
-	rest := body[len(placementMagic):]
-
-	if magic == placementMagic {
-		var p Placement
-		if len(rest) < 2 {
-			return m, fmt.Errorf("ingest: placement body truncated before name length")
-		}
-		nameLen := int(binary.LittleEndian.Uint16(rest))
-		rest = rest[2:]
-		if nameLen > maxPolicyName || len(rest) != nameLen+4+4+8 {
-			return m, fmt.Errorf("ingest: placement body of %d bytes inconsistent with name length %d", len(rest), nameLen)
-		}
-		p.Policy = string(rest[:nameLen])
-		rest = rest[nameLen:]
-		p.Backends = int(binary.LittleEndian.Uint32(rest))
-		p.Replication = int(binary.LittleEndian.Uint32(rest[4:]))
-		p.Seed = binary.LittleEndian.Uint64(rest[8:])
-		if err := validatePlacement(p); err != nil {
-			return m, err
-		}
-		m.Committed = p
-		return m, nil
-	}
+	rest := body[len(manifestMagic):]
 
 	committed, rest, err := decodePlacementBody(rest)
 	if err != nil {

@@ -1,8 +1,6 @@
 package ingest
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,37 +9,6 @@ import (
 	"mssg/internal/cluster"
 	"mssg/internal/graph"
 )
-
-// encodeV1 reproduces the PR 7 codec byte-for-byte, independent of the
-// current encoder, so compatibility is tested against the old wire
-// format rather than against ourselves.
-func encodeV1(policy string, backends, replication int, seed uint64) []byte {
-	b := append([]byte(nil), placementMagic...)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(policy)))
-	b = append(b, policy...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(backends))
-	b = binary.LittleEndian.AppendUint32(b, uint32(replication))
-	b = binary.LittleEndian.AppendUint64(b, seed)
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-}
-
-// TestManifestV1Compat: a pre-epoch (PR 7, MSSGPL01) manifest must keep
-// decoding and report epoch 0 with a nil member subset and no pending
-// placement.
-func TestManifestV1Compat(t *testing.T) {
-	old := encodeV1("rendezvous", 8, 3, 0xfeed)
-	m, err := DecodeManifest(old)
-	if err != nil {
-		t.Fatalf("DecodeManifest(v1): %v", err)
-	}
-	want := Placement{Policy: "rendezvous", Backends: 8, Replication: 3, Seed: 0xfeed}
-	if !placementEqual(m.Committed, want) {
-		t.Fatalf("v1 decoded to %+v, want %+v", m.Committed, want)
-	}
-	if m.Committed.Epoch != 0 || m.Committed.Nodes != nil || m.Pending != nil {
-		t.Fatalf("v1 manifest must be epoch 0, full membership, quiescent: %+v", m)
-	}
-}
 
 func TestManifestV2RoundTrip(t *testing.T) {
 	cases := []Manifest{

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"mssg/internal/cluster"
@@ -11,24 +10,23 @@ import (
 // FuzzPlacementDecode: the manifest decoder faces whatever bytes happen
 // to sit in placement.mssg, so it must never panic, must reject anything
 // a valid encoder cannot produce, and — when it does accept — must
-// round-trip: an MSSGPL02 input re-encodes to the identical bytes, and
-// an MSSGPL01 input's decoded value survives encode then decode (the
-// encoder writes only v2). The corpus seeds both layouts: pre-epoch
-// MSSGPL01 manifests (PR 7 directories must keep decoding, reporting
-// epoch 0) and MSSGPL02 manifests with member subsets and a pending
-// placement.
+// round-trip: an accepted input re-encodes to the identical bytes. The
+// corpus seeds the smallest and a very wide placement, that wide one
+// with trailing bytes, a flipped checksum bit and cut in half, and
+// manifests at epoch 0 and later, with member subsets and with a
+// pending placement.
 func FuzzPlacementDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte(placementMagic))
 	f.Add([]byte(manifestMagic))
-	// v1 layout: quiescent epoch-0 placements.
-	f.Add(encodeV1("rendezvous", 8, 2, 1))
-	f.Add(encodeV1("vertex-mod", 1, 1, DefaultPlacementSeed))
-	long := encodeV1("rendezvous", 1<<19, 6, ^uint64(0))
+	f.Add(EncodePlacement(Placement{Policy: "vertex-mod", Backends: 1, Replication: 1, Seed: DefaultPlacementSeed}))
+	long := EncodePlacement(Placement{Policy: "rendezvous", Backends: 1 << 19, Replication: 6, Seed: ^uint64(0)})
 	f.Add(long)
-	f.Add(append(long, 0, 1, 2))
-	// v2 layout: epoch 0, advanced epoch, member subset, in-flight
-	// migration.
+	f.Add(append(bytes.Clone(long), 0, 1, 2))
+	badSum := bytes.Clone(long)
+	badSum[len(badSum)-1] ^= 1
+	f.Add(badSum)
+	f.Add(long[:len(long)/2])
+	// Epoch 0, advanced epoch, member subset, in-flight migration.
 	f.Add(EncodePlacement(Placement{Policy: "rendezvous", Backends: 8, Replication: 2, Seed: 1}))
 	f.Add(EncodePlacement(Placement{Policy: "rendezvous", Backends: 8, Replication: 2, Seed: 1, Epoch: 3}))
 	f.Add(EncodePlacement(Placement{
@@ -63,19 +61,8 @@ func FuzzPlacementDecode(f *testing.F) {
 				t.Fatalf("decoder accepted non-successor pending epoch %d after %d", m.Pending.Epoch, m.Committed.Epoch)
 			}
 		}
-		enc := EncodeManifest(m)
-		if string(data[:len(manifestMagic)]) == manifestMagic {
-			if !bytes.Equal(enc, data) {
-				t.Fatalf("accepted v2 input is not canonical: %x vs %x", data, enc)
-			}
-			return
-		}
-		again, err := DecodeManifest(enc)
-		if err != nil {
-			t.Fatalf("re-encoded v1 input does not decode: %v", err)
-		}
-		if !reflect.DeepEqual(again, m) {
-			t.Fatalf("v1 input changed through encode: %+v vs %+v", again, m)
+		if enc := EncodeManifest(m); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted v2 input is not canonical: %x vs %x", data, enc)
 		}
 	})
 }
