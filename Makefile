@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race fuzz chaos crash failover migrate tenants scrub bench-check bench-compare bench bench-workers bench-io bench-migration loc clean
+.PHONY: ci fmt vet build test race fuzz chaos crash failover migrate tenants scrub bench-check bench-compare bench bench-workers bench-migration loc clean
 
 # ci keeps the fuzz leg to a 5s-per-target smoke; run `make fuzz` for
 # the full exploration pass.
@@ -71,32 +71,18 @@ tenants:
 scrub:
 	$(GO) run ./cmd/mssg-bench -check $(DIR)
 
-# Short fuzz pass over the wire and storage codecs, grDB's chain format
-# and the block cache against its CLOCK model (regression corpus +
-# FUZZTIME of exploration per target):
+# Short fuzz pass over every Fuzz target in the module, found per
+# package with `go test -list` (regression corpus + FUZZTIME of
+# exploration per target):
 # make fuzz FUZZTIME=5s
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run xxx -fuzz FuzzEdgeRoundTrip -fuzztime $(FUZZTIME) ./internal/graph
-	$(GO) test -run xxx -fuzz FuzzEdgeDecodeNoPanic -fuzztime $(FUZZTIME) ./internal/graph
-	$(GO) test -run xxx -fuzz FuzzTCPFrameDecode -fuzztime $(FUZZTIME) ./internal/cluster
-	$(GO) test -run xxx -fuzz FuzzRecordScan -fuzztime $(FUZZTIME) ./internal/storage/wal
-	$(GO) test -run xxx -fuzz FuzzCheckpointRecordDecode -fuzztime $(FUZZTIME) ./internal/storage/wal
-	$(GO) test -run xxx -fuzz FuzzManifestDecode -fuzztime $(FUZZTIME) ./internal/graphdb/grdb
-	$(GO) test -run xxx -fuzz FuzzStateRecordDecode -fuzztime $(FUZZTIME) ./internal/graphdb/grdb
-	$(GO) test -run xxx -fuzz FuzzChainWalk -fuzztime $(FUZZTIME) ./internal/graphdb/grdb
-	$(GO) test -run xxx -fuzz FuzzWALRecordDecode -fuzztime $(FUZZTIME) ./internal/graphdb/reldb
-	$(GO) test -run xxx -fuzz FuzzManifestDecode -fuzztime $(FUZZTIME) ./internal/graphdb/reldb
-	$(GO) test -run xxx -fuzz FuzzPlacementDecode -fuzztime $(FUZZTIME) ./internal/ingest
-	$(GO) test -run xxx -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME) ./internal/ingest
-	$(GO) test -run xxx -fuzz FuzzFringeChunkDecode -fuzztime $(FUZZTIME) ./internal/query
-	$(GO) test -run xxx -fuzz FuzzFringeChunkRoundTrip -fuzztime $(FUZZTIME) ./internal/query
-	$(GO) test -run xxx -fuzz FuzzVisitedMarkIfNew -fuzztime $(FUZZTIME) ./internal/query
-	$(GO) test -run xxx -fuzz FuzzCanonicalParams -fuzztime $(FUZZTIME) ./internal/query/qcache
-	$(GO) test -run xxx -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/storage/compress
-	$(GO) test -run xxx -fuzz FuzzDecodeArbitrary -fuzztime $(FUZZTIME) ./internal/storage/compress
-	$(GO) test -run xxx -fuzz FuzzStoreDecode -fuzztime $(FUZZTIME) ./internal/storage/compress
-	$(GO) test -run xxx -fuzz FuzzCacheOracle -fuzztime $(FUZZTIME) ./internal/storage/cache
+	@set -e; for pkg in $$($(GO) list -f '{{if or .TestGoFiles .XTestGoFiles}}{{.ImportPath}}{{end}}' ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test -run xxx -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg; \
+		done; \
+	done
 
 # The benchmark/ module (BENCHMARK.json's harness) is its own Go module,
 # so `./...` never reaches it — yet it compiles against query.ParallelBFS,
@@ -122,11 +108,6 @@ bench:
 # Serial vs parallel fringe expansion on the shootout graph.
 bench-workers:
 	$(GO) test -run xxx -bench BenchmarkBFSWorkers -benchtime=1x .
-
-# Semi-external I/O engine ablation (DESIGN.md §13): block compression
-# against the baseline on grDB under the harsh disk model.
-bench-io:
-	$(GO) run ./cmd/mssg-bench io
 
 # Query latency under a live shard migration (DESIGN.md §15): the same
 # BFS workload quiescent, during a join migration, and after its epoch

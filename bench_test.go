@@ -61,7 +61,6 @@ func BenchmarkFig56_SearchPubMedL(b *testing.B)  { runExperiment(b, "fig5.6") }
 func BenchmarkFig57_EdgesPerSec(b *testing.B)    { runExperiment(b, "fig5.7") }
 func BenchmarkFig58_SynSearch(b *testing.B)      { runExperiment(b, "fig5.8") }
 func BenchmarkFig59_SynEdgesPerSec(b *testing.B) { runExperiment(b, "fig5.9") }
-func BenchmarkIO_SemiExternal(b *testing.B)      { runExperiment(b, "io") }
 func BenchmarkMigration_LiveJoin(b *testing.B)   { runExperiment(b, "migration") }
 
 // BenchmarkBFSWorkers compares serial (workers=1) against parallel
@@ -98,7 +97,7 @@ func TestAllExperimentIDsHaveBenches(t *testing.T) {
 		"table5.1": true, "fig5.1": true, "fig5.2": true, "fig5.3": true,
 		"fig5.4": true, "fig5.5": true, "fig5.6": true, "fig5.7": true,
 		"fig5.8": true, "fig5.9": true,
-		"io": true, "migration": true,
+		"migration": true,
 	}
 	for _, e := range experiments.All() {
 		if !want[e.ID] {

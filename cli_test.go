@@ -119,14 +119,14 @@ func TestCLIBenchSingleExperiment(t *testing.T) {
 func TestCLIFlagSurface(t *testing.T) {
 	binDir := buildTools(t)
 	want := map[string]string{
-		"mssg-query": "allow-partial backend backends broadcast cache-mb component compress dead dest dir durability " +
+		"mssg-query": "allow-partial backend backends broadcast cache-mb component dead dest dir durability " +
 			"extvisited khop list-analyses max-inflight maxvertex metrics-addr path pipelined query-timeout " +
 			"queue-depth random seed serve source tenant-inflight tenant-queue tenants threshold verify-on-open workers",
-		"mssg-ingest": "abort-migration backend backends compress copyup deadline defrag dir drain durability " +
+		"mssg-ingest": "abort-migration backend backends copyup deadline defrag dir drain durability " +
 			"fault-crash fault-drop fault-seed format frontends fsck in join metrics-addr placement-seed policy " +
 			"reliable replication resume-migration reverse tcp verify-on-open window",
 		"mssg-gen":   "durability format hub m metrics-addr out preset scale seed stats verify-on-open vertices",
-		"mssg-bench": "check compress deadline dir fault-seed metrics-addr queries scale v workers",
+		"mssg-bench": "check deadline dir fault-seed metrics-addr queries scale v workers",
 	}
 	flagLine := regexp.MustCompile(`(?m)^  -([a-z0-9-]+)`)
 	total := 0
@@ -145,8 +145,8 @@ func TestCLIFlagSurface(t *testing.T) {
 		}
 		total += len(got)
 	}
-	if total != 81 {
-		t.Errorf("the four commands declare %d flags, want 81", total)
+	if total != 78 {
+		t.Errorf("the four commands declare %d flags, want 78", total)
 	}
 }
 

@@ -7,8 +7,8 @@
 //	mssg-bench [flags] <experiment>|all
 //
 // Experiments: table5.1 fig5.1 fig5.2 fig5.3 fig5.4 fig5.5 fig5.6 fig5.7
-// fig5.8 fig5.9, plus the io and migration ablations. The pinned
-// performance benchmark is the separate benchmark/ module.
+// fig5.8 fig5.9, plus the migration ablation. The pinned performance
+// benchmark is the separate benchmark/ module.
 package main
 
 import (
@@ -38,8 +38,6 @@ func main() {
 		"per-ingestion deadline (0 = none); overruns abort the experiment instead of hanging")
 	metricsAddr := flag.String("metrics-addr", "",
 		"serve live /metrics, /trace and /debug/pprof on this address during the run (turns on the gated per-op metrics)")
-	compress := flag.Bool("compress", false,
-		"open every out-of-core grDB with delta-varint block compression")
 	check := flag.Bool("check", false,
 		"instead of an experiment, scrub every grDB node database under the <dir> argument: verify all block checksums, quarantine and repair corrupt blocks, and run the structural check")
 	flag.Usage = func() {
@@ -74,7 +72,6 @@ func main() {
 	p := &experiments.Params{
 		Scale: *scale, Queries: *queries, Dir: workDir, Workers: *workers,
 		FaultSeed: *faultSeed, Deadline: *deadline,
-		Compress: *compress,
 		// A live /metrics view is only worth serving with the gated
 		// per-op latency histograms and cache mirrors on.
 		Metrics: *metricsAddr != "",

@@ -146,8 +146,6 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Backend, "backend", "grdb",
 		"GraphDB backend: array, hashmap, mysql, bdb, stream, grdb (queries use the ingest-time backend)")
 	fs.IntVar(&f.Backends, "backends", 8, "number of back-end storage nodes (queries use the ingest-time count)")
-	fs.BoolVar(&f.DBOptions.Compress, "compress", false,
-		"store grDB blocks delta-varint compressed (queries use the ingest-time setting)")
 	fs.Func("durability",
 		"crash safety `mode`: none (the default; page-cache only) or full (WAL + checksums + atomic checkpoints; back-ends also checkpoint their ingest position for exactly-once resume); queries use the ingest-time setting",
 		func(s string) (err error) {

@@ -102,9 +102,6 @@ type Params struct {
 	// obs.Default(). Off by default: the per-op clock reads distort the
 	// finest-grained comparisons.
 	Metrics bool
-	// Compress opens every out-of-core grDB with delta-varint block
-	// compression (DESIGN.md §13). Other backends ignore it.
-	Compress bool
 	// Verbose, if set, receives progress lines.
 	Verbose func(format string, args ...any)
 }
@@ -182,9 +179,6 @@ func buildEngine(p *Params, label, backend string, backends, frontends int, opts
 		Dir:       fmt.Sprintf("%s/%s", p.Dir, label),
 		DBOptions: opts,
 		Ingest:    ingest.Config{AddReverse: true},
-	}
-	if p.Compress {
-		cfg.DBOptions.Compress = true
 	}
 	if p.FaultSeed != 0 {
 		plan := cluster.SoakPlan(p.FaultSeed, 0.01)
@@ -300,7 +294,6 @@ func All() []Experiment {
 		{"fig5.7", "search edges/s, PubMed-L', varying back-ends", Fig57},
 		{"fig5.8", "search time, Syn', grDB, visited in-mem vs external", Fig58},
 		{"fig5.9", "search edges/s, Syn', grDB", Fig59},
-		{"io", "semi-external I/O engine ablation: block compression, grDB", IOEngine},
 		{"migration", "BFS latency during live shard migration vs quiescent, hashmap", Migration},
 	}
 }

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +15,7 @@ func tinyParams(t *testing.T) *Params {
 func TestAllExperimentsRegistered(t *testing.T) {
 	ids := []string{"table5.1", "fig5.1", "fig5.2", "fig5.3", "fig5.4",
 		"fig5.5", "fig5.6", "fig5.7", "fig5.8", "fig5.9",
-		"io", "migration"}
+		"migration"}
 	all := All()
 	if len(all) != len(ids) {
 		t.Fatalf("All() has %d experiments, want %d", len(all), len(ids))
@@ -83,33 +83,89 @@ func TestFig53Smoke(t *testing.T) {
 	}
 }
 
-func TestIOEngineSmoke(t *testing.T) {
-	// Global lever flags must not leak into the ablation's own sweep:
-	// the baseline row of an -compress run has to stay a baseline.
-	p := tinyParams(t)
-	p.Compress = true
-	tab, err := IOEngine(p)
-	if err != nil {
-		t.Fatalf("IOEngine: %v", err)
+// checkShape fails unless tab carries header and between minRows and
+// maxRows rows of one cell per column.
+func checkShape(t *testing.T, tab *Table, header []string, minRows, maxRows int) {
+	t.Helper()
+	if !reflect.DeepEqual(tab.Header, header) {
+		t.Fatalf("%s header = %v, want %v", tab.ID, tab.Header, header)
 	}
-	if len(tab.Rows) != len(ioConfigs()) {
-		t.Fatalf("io rows = %d, want %d", len(tab.Rows), len(ioConfigs()))
+	if n := len(tab.Rows); n < minRows || n > maxRows {
+		t.Fatalf("%s has %d rows, want %d..%d", tab.ID, n, minRows, maxRows)
 	}
 	for _, row := range tab.Rows {
-		if len(row) != len(tab.Header) {
-			t.Fatalf("row %v does not match header %v", row, tab.Header)
+		if len(row) != len(header) {
+			t.Fatalf("%s row %v does not match header %v", tab.ID, row, header)
 		}
 	}
-	// Compression must show up in the byte counter: the compress row
-	// reads fewer MB than baseline at identical workload.
-	var mb = func(row []string) float64 {
-		var f float64
-		fmt.Sscanf(row[5], "%f", &f)
-		return f
+}
+
+// The figure smoke tests check shape only: no error, the header, and
+// one row per path length (Figs 5.2 and 5.4, at most one per query),
+// per back-end (Figs 5.5-5.7) or per visited structure (Figs 5.8-5.9).
+
+func TestFig52Smoke(t *testing.T) {
+	p := tinyParams(t)
+	tab, err := Fig52(p)
+	if err != nil {
+		t.Fatalf("Fig52: %v", err)
 	}
-	if mb(tab.Rows[1]) >= mb(tab.Rows[0]) {
-		t.Errorf("compress read %v MB, baseline %v MB — expected fewer", mb(tab.Rows[1]), mb(tab.Rows[0]))
+	checkShape(t, tab, []string{"PathLen", "BDB+cache", "BDB-nocache", "grDB+cache", "grDB-nocache"}, 1, p.queries())
+}
+
+func TestFig54Smoke(t *testing.T) {
+	p := tinyParams(t)
+	tab, err := Fig54(p)
+	if err != nil {
+		t.Fatalf("Fig54: %v", err)
 	}
+	checkShape(t, tab, append([]string{"PathLen"}, fiveDBsSmall...), 2, p.queries()+1)
+	if last := tab.Rows[len(tab.Rows)-1][0]; last != "total(s)" {
+		t.Fatalf("fig5.4 last row is %q, want the total(s) row", last)
+	}
+}
+
+var backendCols = []string{"4 back-ends", "8 back-ends", "16 back-ends"}
+
+func TestFig55Smoke(t *testing.T) {
+	tab, err := Fig55(tinyParams(t))
+	if err != nil {
+		t.Fatalf("Fig55: %v", err)
+	}
+	checkShape(t, tab, []string{"GraphDB", "4 back-ends (s)", "8 back-ends (s)", "16 back-ends (s)"},
+		len(fiveDBsLarge), len(fiveDBsLarge))
+}
+
+func TestFig56Smoke(t *testing.T) {
+	tab, err := Fig56(tinyParams(t))
+	if err != nil {
+		t.Fatalf("Fig56: %v", err)
+	}
+	checkShape(t, tab, append([]string{"GraphDB"}, backendCols...), len(fiveDBsLarge), len(fiveDBsLarge))
+}
+
+func TestFig57Smoke(t *testing.T) {
+	tab, err := Fig57(tinyParams(t))
+	if err != nil {
+		t.Fatalf("Fig57: %v", err)
+	}
+	checkShape(t, tab, append([]string{"GraphDB"}, backendCols...), len(fiveDBsLarge), len(fiveDBsLarge))
+}
+
+func TestFig58Smoke(t *testing.T) {
+	tab, err := Fig58(tinyParams(t))
+	if err != nil {
+		t.Fatalf("Fig58: %v", err)
+	}
+	checkShape(t, tab, append([]string{"Visited"}, backendCols...), 2, 2)
+}
+
+func TestFig59Smoke(t *testing.T) {
+	tab, err := Fig59(tinyParams(t))
+	if err != nil {
+		t.Fatalf("Fig59: %v", err)
+	}
+	checkShape(t, tab, append([]string{"Visited"}, backendCols...), 2, 2)
 }
 
 func TestMigrationSmoke(t *testing.T) {

@@ -3,15 +3,18 @@ package grdb
 import (
 	"context"
 	"errors"
-	"fmt"
-	"reflect"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"mssg/internal/graph"
 	"mssg/internal/graphdb"
 	"mssg/internal/obs"
+	"mssg/internal/storage/vfs"
 )
 
 // smallLevels keeps chains multi-level with few edges.
@@ -45,51 +48,23 @@ func adjacency(t *testing.T, g graphdb.Graph, v graph.VertexID) []graph.VertexID
 	return ids
 }
 
-// TestCompressedMatchesPlain: a compressed DB must return exactly the
-// adjacency a plain DB returns, across reopen, in both durability modes.
-func TestCompressedMatchesPlain(t *testing.T) {
-	for _, durability := range []graphdb.DurabilityLevel{graphdb.DurabilityNone, graphdb.DurabilityFull} {
-		t.Run(durability.String(), func(t *testing.T) {
-			edges := seedEdges(60)
-			open := func(dir string, compress bool) *DB {
-				d, err := Open(graphdb.Options{
-					Dir: dir, Levels: smallLevels(), MaxFileBytes: 4096,
-					Compress: compress, Durability: durability,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return d
-			}
-			plainDir, compDir := t.TempDir(), t.TempDir()
-			plain, comp := open(plainDir, false), open(compDir, true)
-			for _, d := range []*DB{plain, comp} {
-				if err := d.StoreEdges(edges); err != nil {
-					t.Fatal(err)
-				}
-				if err := d.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			plain, comp = open(plainDir, false), open(compDir, true)
-			defer plain.Close()
-			defer comp.Close()
-			for v := graph.VertexID(0); v < 60; v++ {
-				want := adjacency(t, plain, v)
-				got := adjacency(t, comp, v)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("vertex %d: compressed %v, plain %v", v, got, want)
-				}
-			}
-		})
-	}
+// openLog records every path opened through it.
+type openLog struct {
+	vfs.FS
+	names []string
 }
 
-// TestCompressedMarkerMismatch: reopening with the wrong Compress
-// setting must fail, not misread blocks.
+func (o *openLog) OpenFile(name string, flag int, perm fs.FileMode) (vfs.File, error) {
+	o.names = append(o.names, filepath.Base(name))
+	return o.FS.OpenFile(name, flag, perm)
+}
+
+// TestCompressedMarkerMismatch: a directory holding the marker of the
+// retired compressed format must fail to open, with an error naming the
+// marker, and no level file may be opened on the way.
 func TestCompressedMarkerMismatch(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(graphdb.Options{Dir: dir, Levels: smallLevels(), MaxFileBytes: 4096, Compress: true})
+	d, err := Open(graphdb.Options{Dir: dir, Levels: smallLevels(), MaxFileBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,23 +74,18 @@ func TestCompressedMarkerMismatch(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(graphdb.Options{Dir: dir, Levels: smallLevels(), MaxFileBytes: 4096}); err == nil {
-		t.Fatal("compressed database opened without Compress")
-	}
-	// And the converse: plain database, compressed reopen.
-	dir2 := t.TempDir()
-	d2, err := Open(graphdb.Options{Dir: dir2, Levels: smallLevels(), MaxFileBytes: 4096})
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, compressedMarkerName), []byte("1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := d2.StoreEdges(seedEdges(10)); err != nil {
-		t.Fatal(err)
+	fsys := &openLog{FS: vfs.OS}
+	_, err = Open(graphdb.Options{Dir: dir, Levels: smallLevels(), MaxFileBytes: 4096, FS: fsys})
+	if err == nil || !strings.Contains(err.Error(), compressedMarkerName) {
+		t.Fatalf("Open = %v, want an error naming %s", err, compressedMarkerName)
 	}
-	if err := d2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(graphdb.Options{Dir: dir2, Levels: smallLevels(), MaxFileBytes: 4096, Compress: true}); err == nil {
-		t.Fatal("plain database opened with Compress")
+	for _, name := range fsys.names {
+		if strings.HasPrefix(name, "level") {
+			t.Fatalf("refused Open opened block file %s", name)
+		}
 	}
 }
 
@@ -255,37 +225,4 @@ func TestPrefetchAsyncMatchesSync(t *testing.T) {
 	if a, s := count(true), count(false); a != s {
 		t.Fatalf("async warmed %d blocks, sync %d", a, s)
 	}
-}
-
-// TestCompressedBytesShrink: the same ingest moves fewer bytes to the
-// device compressed than plain.
-func TestCompressedBytesShrink(t *testing.T) {
-	edges := seedEdges(120)
-	written := func(compress bool) int64 {
-		d, err := Open(graphdb.Options{
-			Dir: t.TempDir(), Levels: smallLevels(), MaxFileBytes: 4096, Compress: compress,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.StoreEdges(edges); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		var bytes int64
-		for _, l := range d.levels {
-			bytes += l.store.Counters().BytesWritten
-		}
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return bytes
-	}
-	plain, comp := written(false), written(true)
-	if comp >= plain {
-		t.Fatalf("compressed ingest wrote %d bytes, plain %d — no shrink", comp, plain)
-	}
-	t.Log(fmt.Sprintf("bytes written: plain %d, compressed %d", plain, comp))
 }

@@ -44,7 +44,6 @@ import (
 	"mssg/internal/obs"
 	"mssg/internal/storage/blockio"
 	"mssg/internal/storage/cache"
-	"mssg/internal/storage/compress"
 	"mssg/internal/storage/fsutil"
 	"mssg/internal/storage/vfs"
 	"mssg/internal/storage/wal"
@@ -69,10 +68,9 @@ const (
 
 	manifestName = "grdb.manifest"
 
-	// compressedMarkerName marks a database whose level stores hold
-	// compressed blocks (Options.Compress). The block encoding is part of
-	// the on-disk format, so Open refuses a marker/option mismatch rather
-	// than misreading every block.
+	// compressedMarkerName marked a database written with compressed
+	// blocks, a format grDB no longer reads. Open refuses a directory
+	// that holds it rather than misreading every block.
 	compressedMarkerName = "grdb.compressed"
 )
 
@@ -90,28 +88,13 @@ func DefaultLevels() []graphdb.LevelSpec {
 	}
 }
 
-// levelStore is the block store a level reads and writes logical blocks
-// through: a plain *blockio.Store, or a *compress.Store wrapping one
-// when Options.Compress is set. The WAL recovery path and Scrub go
-// through the same interface, so both operate on logical block images
-// regardless of the on-disk encoding.
-type levelStore interface {
-	BlockSize() int
-	ReadBlock(idx int64, buf []byte) error
-	ReadBlockNoVerify(idx int64, buf []byte) error
-	WriteBlock(idx int64, buf []byte) error
-	Sync() error
-	Close() error
-	Counters() blockio.Counters
-}
-
 // level is one storage level at runtime. Its block-cache space id is its
 // index in DB.levels.
 type level struct {
 	d        int   // sub-block neighbour capacity
 	subBytes int   // b * d
 	k        int64 // sub-blocks per block
-	store    levelStore
+	store    *blockio.Store
 }
 
 // DB is a grDB instance.
@@ -173,9 +156,6 @@ type DB struct {
 	// GetCheckpoint returns). See graphdb.Checkpointer.
 	ckptStaged    []byte
 	ckptCommitted []byte
-
-	// compressed marks that level stores encode blocks (Options.Compress).
-	compressed bool
 
 	// pf coordinates asynchronous prefetch jobs (see prefetch.go). Close
 	// drains it before releasing the stores.
@@ -265,16 +245,15 @@ func Open(opts graphdb.Options) (*DB, error) {
 	}
 
 	d := &DB{
-		dir:        opts.Dir,
-		cache:      cache.New(opts.CacheBytes),
-		tailHint:   make(map[graph.VertexID]subPos),
-		copyUp:     opts.CopyUpOnOverflow,
-		fsys:       opts.FS,
-		durable:    opts.Durability >= graphdb.DurabilityFull,
-		compressed: opts.Compress,
+		dir:      opts.Dir,
+		cache:    cache.New(opts.CacheBytes),
+		tailHint: make(map[graph.VertexID]subPos),
+		copyUp:   opts.CopyUpOnOverflow,
+		fsys:     opts.FS,
+		durable:  opts.Durability >= graphdb.DurabilityFull,
 	}
 	d.cache.EnableMetrics(opts.Metrics, "grdb")
-	if err := d.checkCompressedMarker(); err != nil {
+	if err := d.refuseCompressed(); err != nil {
 		return nil, err
 	}
 	d.pf.init(d, opts.Metrics)
@@ -291,18 +270,11 @@ func Open(opts graphdb.Options) (*DB, error) {
 		d.cache.SetNoSteal(true)
 	}
 	for i, spec := range specs {
-		// Compressed levels hold physical slots a fixed slack larger than
-		// the logical block; the per-file block capacity stays the same.
-		physBytes, storeMaxFile := spec.BlockBytes, maxFile
-		if d.compressed {
-			physBytes = compress.PhysicalBlockSize(spec.BlockBytes)
-			storeMaxFile = maxFile / int64(spec.BlockBytes) * int64(physBytes)
-		}
-		inner, err := blockio.OpenStore(blockio.Config{
+		store, err := blockio.OpenStore(blockio.Config{
 			Dir:          opts.Dir,
 			Prefix:       fmt.Sprintf("level%d", i),
-			BlockSize:    physBytes,
-			MaxFileBytes: storeMaxFile,
+			BlockSize:    spec.BlockBytes,
+			MaxFileBytes: maxFile,
 			Checksums:    d.durable,
 			FS:           opts.FS,
 		})
@@ -310,18 +282,7 @@ func Open(opts graphdb.Options) (*DB, error) {
 			d.closeStores()
 			return nil, err
 		}
-		inner.SimulateLatency(opts.SimReadLatency, opts.SimWriteLatency)
-		inner.SimulateTransfer(opts.SimTransferLatency)
-		var store levelStore = inner
-		if d.compressed {
-			cs, err := compress.Wrap(inner, spec.BlockBytes)
-			if err != nil {
-				inner.Close()
-				d.closeStores()
-				return nil, err
-			}
-			store = cs
-		}
+		store.SimulateLatency(opts.SimReadLatency, opts.SimWriteLatency)
 		if err := d.cache.AttachSpace(uint32(i), store); err != nil {
 			store.Close()
 			d.closeStores()
@@ -347,32 +308,19 @@ func Open(opts graphdb.Options) (*DB, error) {
 	return d, nil
 }
 
-// checkCompressedMarker reconciles Options.Compress with the on-disk
-// marker file: an existing database must be reopened with the encoding
-// it was created with.
-func (d *DB) checkCompressedMarker() error {
+// refuseCompressed fails Open on a directory written with compressed
+// blocks (its marker file is present). It runs before any store opens,
+// so no block of the foreign format is ever read.
+func (d *DB) refuseCompressed() error {
 	marker := filepath.Join(d.dir, compressedMarkerName)
 	_, err := fsutil.ReadFile(d.fsys, marker)
-	hasMarker := err == nil
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
+	if err == nil {
+		return fmt.Errorf("grdb: %s holds %s: compressed blocks are no longer supported", d.dir, compressedMarkerName)
+	}
+	if !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("grdb: %w", err)
 	}
-	if hasMarker == d.compressed {
-		return nil
-	}
-	_, merr := fsutil.ReadFile(d.fsys, filepath.Join(d.dir, manifestName))
-	hasManifest := merr == nil
-	if merr != nil && !errors.Is(merr, os.ErrNotExist) {
-		return fmt.Errorf("grdb: %w", merr)
-	}
-	if hasMarker {
-		return fmt.Errorf("grdb: %s was created with compressed blocks; reopen with Compress", d.dir)
-	}
-	if hasManifest {
-		return fmt.Errorf("grdb: %s was created without compressed blocks; Compress cannot be enabled on reopen", d.dir)
-	}
-	// Fresh database opening compressed: record it.
-	return fsutil.WriteFileAtomic(d.fsys, marker, []byte("1\n"), 0o644)
+	return nil
 }
 
 func (d *DB) closeStores() {

@@ -289,9 +289,7 @@ func (d *DB) IOCounters() (blockReads, blockWrites int64) {
 }
 
 // IOBytes reports physical bytes moved to and from the backing stores,
-// summing all levels. With compression enabled this is smaller than
-// block-count × block-size accounting suggests — compressed payloads
-// and hinted prefix reads move only the bytes that exist.
+// summing all levels.
 func (d *DB) IOBytes() (bytesRead, bytesWritten int64) {
 	for _, l := range d.levels {
 		c := l.store.Counters()

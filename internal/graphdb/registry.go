@@ -84,18 +84,6 @@ type Options struct {
 	SimReadLatency  time.Duration
 	SimWriteLatency time.Duration
 
-	// SimTransferLatency adds a simulated per-byte delay on top of the
-	// per-operation latencies, modeling device bandwidth. Compressed
-	// stores move fewer bytes and therefore pay less of it; see
-	// blockio.Store.SimulateTransfer.
-	SimTransferLatency time.Duration
-
-	// Compress enables delta-varint compression of grDB adjacency blocks
-	// (DESIGN.md §13): blocks are encoded on write and CRC-checked +
-	// decoded on read. The on-disk format changes; a database must be
-	// reopened with the same setting it was created with.
-	Compress bool
-
 	// Durability selects crash safety for out-of-core backends. The
 	// in-memory backends ignore it (they have no durable state at all).
 	Durability DurabilityLevel

@@ -92,12 +92,8 @@ type EngineConfig struct {
 	// (including the built-in "default" tenant).
 	DefaultTenant TenantConfig
 	// CacheBytes, when > 0, enables the epoch-keyed result cache with
-	// this memory budget. Ignored when Cache is set.
+	// this memory budget; 0 or less disables caching.
 	CacheBytes int64
-	// Cache injects a result cache built elsewhere (so several engines
-	// can share one, or tests can use a private registry). Nil with
-	// CacheBytes <= 0 disables caching.
-	Cache *qcache.Cache
 	// Executor runs every query the engine admits and supplies the
 	// placement epoch for cache keys and snapshot pinning.
 	// core.Engine.NewQueryEngine sets the core engine, so served queries
@@ -288,8 +284,7 @@ func NewEngine(f cluster.Fabric, dbs []graphdb.Graph, cfg EngineConfig) (*Engine
 		tenants: make(map[string]*tenantState),
 	}
 	e.cond = sync.NewCond(&e.mu)
-	e.cache = cfg.Cache
-	if e.cache == nil && cfg.CacheBytes > 0 {
+	if cfg.CacheBytes > 0 {
 		e.cache = qcache.New(cfg.CacheBytes, nil)
 	}
 	e.genFn = cfg.Generation

@@ -62,8 +62,6 @@ type FailoverOptions struct {
 	// 0 means the default 0.5; negative disables jitter; values above 1
 	// are clamped to 1.
 	BackoffJitter float64
-	// AttemptTimeout bounds each attempt (0: only ctx bounds them).
-	AttemptTimeout time.Duration
 }
 
 func (o FailoverOptions) withDefaults() FailoverOptions {
@@ -196,12 +194,7 @@ func failoverLoop(ctx context.Context, f cluster.Fabric, base []cluster.NodeID, 
 			}
 			continue
 		}
-		actx, cancel := ctx, context.CancelFunc(func() {})
-		if opt.AttemptTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, opt.AttemptTimeout)
-		}
-		levels, err := attempt(actx, active)
-		cancel()
+		levels, err := attempt(ctx, active)
 		if err == nil {
 			return stats, nil
 		}

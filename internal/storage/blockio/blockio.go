@@ -131,11 +131,7 @@ type Store struct {
 	// node goroutines from overlapping their waits.
 	readLatency  time.Duration
 	writeLatency time.Duration
-	// transferLatency is charged per byte actually moved, on top of the
-	// per-operation latency — so a prefix read of a compressed payload
-	// pays for the bytes it transfers, not for the whole block slot.
-	transferLatency time.Duration
-	latencyOwed     atomic.Int64 // nanoseconds not yet slept
+	latencyOwed  atomic.Int64 // nanoseconds not yet slept
 }
 
 // latencyQuantum is the smallest simulated-latency debt actually slept.
@@ -154,10 +150,9 @@ func (s *Store) charge(d time.Duration) {
 }
 
 // Counters reports physical block I/O performed so far. BytesRead /
-// BytesWritten count bytes actually transferred: a prefix read or write
-// accounts only its own length, so a compressed store's byte counters
-// reflect the compression win while its op counters stay comparable to
-// an uncompressed store's.
+// BytesWritten count bytes actually transferred: one block per read or
+// write, except a read of a block never written, which moves nothing
+// and counts nothing.
 type Counters struct {
 	BlockReads       int64
 	BlockWrites      int64
@@ -221,15 +216,6 @@ func OpenStore(cfg Config) (*Store, error) {
 func (s *Store) SimulateLatency(read, write time.Duration) {
 	s.readLatency = read
 	s.writeLatency = write
-}
-
-// SimulateTransfer adds a per-byte delay on top of the per-operation
-// latency, modeling device bandwidth the way SimulateLatency models
-// seek/dispatch cost. Bytes not transferred (prefix reads of compressed
-// payloads) are not charged. Call before use; not synchronized with
-// concurrent I/O.
-func (s *Store) SimulateTransfer(perByte time.Duration) {
-	s.transferLatency = perByte
 }
 
 // BlockSize returns the fixed block size in bytes.
@@ -349,19 +335,6 @@ func (s *Store) ReadBlockNoVerify(idx int64, buf []byte) error {
 	return s.read(idx, buf, false)
 }
 
-// ReadBlockPrefix reads the first len(buf) bytes of block idx (len(buf)
-// may be any value up to the block size; the tail past EOF is implicitly
-// zero, as in ReadBlock). No checksum verification is performed — the
-// sidecar CRC covers whole blocks — so callers own payload integrity;
-// the compressed store layers its own per-payload CRC for exactly this
-// reason. Only the bytes actually requested are accounted and charged.
-func (s *Store) ReadBlockPrefix(idx int64, buf []byte) error {
-	if len(buf) > s.blockSize {
-		return fmt.Errorf("blockio: prefix read of %d bytes exceeds block size %d", len(buf), s.blockSize)
-	}
-	return s.read(idx, buf, false)
-}
-
 func (s *Store) read(idx int64, buf []byte, verify bool) error {
 	fi, off, err := s.locate(idx)
 	if err != nil {
@@ -382,11 +355,11 @@ func (s *Store) read(idx int64, buf []byte, verify bool) error {
 	return nil
 }
 
-// readAt reads and accounts one block (or prefix) at off.
+// readAt reads and accounts one block at off.
 func (s *Store) readAt(f *perFile, buf []byte, off int64) error {
 	s.reads.Add(1)
 	s.readBytes.Add(int64(len(buf)))
-	s.charge(s.readLatency + time.Duration(len(buf))*s.transferLatency)
+	s.charge(s.readLatency)
 	n, err := f.data.ReadAt(buf, off)
 	if err == io.EOF || err == io.ErrUnexpectedEOF || (err == nil && n < len(buf)) {
 		// Short or past-EOF read: the tail is implicitly zero. Only
@@ -428,22 +401,6 @@ func (s *Store) WriteBlock(idx int64, buf []byte) error {
 	return s.write(idx, buf)
 }
 
-// WriteBlockPrefix writes the first len(buf) bytes of block idx, leaving
-// the rest of the slot untouched (whatever stale bytes it held remain —
-// the caller's on-disk format must make them unreachable, as the
-// compressed store's length-prefixed header does). Refused on
-// checksummed stores: the sidecar CRC covers the whole block and a
-// partial write would invalidate it.
-func (s *Store) WriteBlockPrefix(idx int64, buf []byte) error {
-	if s.checksums {
-		return errors.New("blockio: prefix write on checksummed store")
-	}
-	if len(buf) > s.blockSize {
-		return fmt.Errorf("blockio: prefix write of %d bytes exceeds block size %d", len(buf), s.blockSize)
-	}
-	return s.write(idx, buf)
-}
-
 func (s *Store) write(idx int64, buf []byte) error {
 	fi, off, err := s.locate(idx)
 	if err != nil {
@@ -455,7 +412,7 @@ func (s *Store) write(idx int64, buf []byte) error {
 	}
 	s.writes.Add(1)
 	s.writeBytes.Add(int64(len(buf)))
-	s.charge(s.writeLatency + time.Duration(len(buf))*s.transferLatency)
+	s.charge(s.writeLatency)
 	// Raised first, so a failed or torn write is read back from the file.
 	for end := off + int64(len(buf)); ; {
 		if cur := f.extent.Load(); cur >= end || f.extent.CompareAndSwap(cur, end) {

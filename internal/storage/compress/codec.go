@@ -1,7 +1,8 @@
-// Package compress implements delta-varint compression of grDB
-// adjacency blocks (DESIGN.md §13): the codec (this file) and a
-// block-store wrapper (store.go) that encodes on write and decodes on
-// read, with a per-payload CRC verified before decoding.
+// Package compress implements a delta-varint codec for grDB adjacency
+// blocks (DESIGN.md §13). No store uses it: grDB keeps raw words in
+// fixed-size blocks, where a smaller payload saves no block reads. The
+// benchmark measures its unit costs, and a packed layout that stores
+// fewer blocks is where it could pay.
 //
 // The codec treats a block as a sequence of little-endian uint64 words —
 // grDB's tagged adjacency words, whose payloads are neighbor ids in

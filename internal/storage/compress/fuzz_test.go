@@ -35,22 +35,3 @@ func FuzzDecodeArbitrary(f *testing.F) {
 		_ = Decode(dst, payload) // must not panic
 	})
 }
-
-// FuzzStoreDecode: feeding arbitrary bytes into a physical slot must
-// either decode cleanly or fail with ErrCorrupt — never panic — and
-// ReadBlockNoVerify must always succeed.
-func FuzzStoreDecode(f *testing.F) {
-	const logical = 64
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0}, PhysicalBlockSize(logical)))
-	good := AppendEncoded(make([]byte, HeaderBytes, HeaderBytes+logical), encWords(1, 2, 3, 4, 5, 6, 7, 8))
-	putHeader(good[:HeaderBytes], 0, good[HeaderBytes:])
-	f.Add([]byte(good))
-	f.Fuzz(func(t *testing.T, slot []byte) {
-		s := &Store{logical: logical, physical: PhysicalBlockSize(logical), sizes: map[int64]int{}}
-		phys := make([]byte, s.physical)
-		copy(phys, slot)
-		buf := make([]byte, logical)
-		_ = s.decode(0, phys, buf) // must not panic
-	})
-}
